@@ -37,6 +37,10 @@ class MissingCheckpoint(FileNotFoundError):
     """A policy checkpoint required by the command does not exist."""
 
 
+class CheckpointMismatch(ValueError):
+    """A checkpoint was trained for another environment or encoding."""
+
+
 def _out_dir(args) -> Path:
     out = os.environ.get(OUT_DIR_ENV_VAR) or args.out
     path = Path(out)
@@ -50,10 +54,19 @@ def _make_env(args, run_config):
     return ReliabilityEnv(run_config.reliability)
 
 
-def _load_policy(path, env) -> QPolicy:
+def _load_policy(path, env, args) -> QPolicy:
     if not Path(path).exists():
         raise MissingCheckpoint(path)
-    net, _ = load_checkpoint(path)
+    net, meta = load_checkpoint(path)
+    expected = {"env": args.env}
+    if args.env == "component":  # the reliability env has one encoding
+        expected["encoding"] = args.encoding
+    for key, value in expected.items():
+        if meta.get(key) != value:
+            raise CheckpointMismatch(
+                f"checkpoint {path} was trained with {key} {meta.get(key)!r}, "
+                f"not {value!r}"
+            )
     return QPolicy(net, env)
 
 
@@ -117,7 +130,7 @@ def cmd_eval(args) -> int:
     )
     out = _out_dir(args)
     env = _make_env(args, run_config)
-    policy = _load_policy(args.checkpoint, env)
+    policy = _load_policy(args.checkpoint, env, args)
     n = args.episodes or 1000
 
     if args.env == "reliability":
@@ -215,7 +228,7 @@ def _compare_component(args, run_config, out) -> None:
     labels = ["dqn_unconstrained", "dqn_constrained"]
     for label, path in zip(labels, checkpoints):
         use_env = constrained_env if label == "dqn_constrained" else env
-        policies.append((label, _load_policy(path, use_env), use_env))
+        policies.append((label, _load_policy(path, use_env, args), use_env))
 
     n = args.episodes or 1000
     table_rows = []
@@ -252,7 +265,7 @@ def _compare_reliability(args, run_config, out) -> None:
         ("benchmark", FunctionPolicy(lambda s: benchmark_policy_action(s.actions_taken))),
     ]
     if args.checkpoint:
-        policies.append(("dqn", _load_policy(args.checkpoint[0], env)))
+        policies.append(("dqn", _load_policy(args.checkpoint[0], env, args)))
 
     n = args.episodes or 200
     with open(out / "compare_table.csv", "w", newline="") as fh:
@@ -343,7 +356,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (config_mod.ConfigError, MissingCheckpoint) as exc:
+    except (config_mod.ConfigError, MissingCheckpoint, CheckpointMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

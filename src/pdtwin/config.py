@@ -44,16 +44,34 @@ RELIABILITY_TRAIN_DEFAULTS = {
 }
 
 
+# annotation name -> accepted JSON value types; an integer may stand for a float
+_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+          "tuple": (tuple,), "None": (type(None),)}
+
+
 def _build(cls, overrides: dict, defaults: dict | None = None):
     values = dict(defaults or {})
-    known = {f.name for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     for key, value in overrides.items():
-        if key not in known:
+        if key not in fields:
             raise ConfigError(f"unknown key {key!r} for {cls.__name__}")
         if isinstance(value, list):
             value = tuple(value)
+        _check_type(cls, fields[key], value)
         values[key] = value
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {cls.__name__}: {exc}") from exc
+
+
+def _check_type(cls, field, value) -> None:
+    """Reject a value of a type its field's annotation does not name."""
+    allowed = sum((_TYPES[name] for name in field.type.split(" | ")), ())
+    if type(value) not in allowed:
+        raise ConfigError(
+            f"{cls.__name__}.{field.name} must be {field.type}, got {value!r}"
+        )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -96,9 +96,6 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __contains__(self, item) -> bool:
-        return item in self._items
-
 
 def epsilon_greedy(
     q_values: np.ndarray, mask: np.ndarray, epsilon: float, rng: np.random.Generator
@@ -113,17 +110,15 @@ def epsilon_greedy(
     return int(np.argmax(masked_q))  # ties resolve to the lowest index
 
 
-def td_target(
-    reward: float,
-    done: bool,
-    next_q: np.ndarray,
-    next_mask: np.ndarray,
-    discount: float,
-) -> float:
-    """Bootstrap target: reward, plus the best legal next value if not terminal."""
-    if done:
-        return float(reward)
-    return float(reward + discount * np.max(np.where(next_mask, next_q, -np.inf)))
+def td_target(reward, done, next_q: np.ndarray, next_mask: np.ndarray, discount):
+    """Bootstrap target: reward, plus the best legal next value if not terminal.
+
+    Takes one transition (scalars, 1-d ``next_q``) or a batch (arrays, one
+    row of ``next_q`` and ``next_mask`` per transition).
+    """
+    best = np.max(np.where(next_mask, next_q, -np.inf), axis=-1)
+    target = np.where(done, reward, reward + discount * best)
+    return float(target) if target.ndim == 0 else target
 
 
 class QPolicy(Policy):
@@ -227,19 +222,18 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
         ep_return = 0.0
         done = False
         accumulator = NStepAccumulator(config.n_step, config.discount)
+        enc, mask = env.encode(state), env.action_mask(state)
         while not done:
-            enc = env.encode(state)
-            mask = env.action_mask(state)
             q = net.forward(enc.elements, enc.aux)
             action = epsilon_greedy(q, mask, epsilon, train_rng)
-            next_state, reward, done = env.step(state, action, env_rng)
+            state, reward, done = env.step(state, action, env_rng)
             ep_return += reward
+            next_enc, next_mask = env.encode(state), env.action_mask(state)
             for item in accumulator.push(
-                enc, action, reward / config.reward_scale,
-                env.encode(next_state), env.action_mask(next_state), done,
+                enc, action, reward / config.reward_scale, next_enc, next_mask, done,
             ):
                 buffer.push(item)
-            state = next_state
+            enc, mask = next_enc, next_mask
             global_step += 1
 
             if (
@@ -298,20 +292,15 @@ def _learn_step(net, target, optimizer, buffer, config, rng) -> float:
     batch = buffer.sample(config.batch_size, rng)
     next_encs = [(t.next_encoding.elements, t.next_encoding.aux) for t in batch]
     target_q, _ = target.forward_batch(next_encs)
+    next_mask = np.array([t.next_mask for t in batch])
     if config.double_dqn:
+        # the online network picks the action, the target network values it
         online_q, _ = net.forward_batch(next_encs)
-    targets = np.empty(len(batch))
-    for i, t in enumerate(batch):
-        if t.bootstrap == 0.0:
-            targets[i] = t.reward
-        elif config.double_dqn:
-            masked = np.where(t.next_mask, online_q[i], -np.inf)
-            best = int(np.argmax(masked))
-            targets[i] = t.reward + t.bootstrap * target_q[i][best]
-        else:
-            targets[i] = td_target(
-                t.reward, False, target_q[i], t.next_mask, t.bootstrap
-            )
+        best = np.argmax(np.where(next_mask, online_q, -np.inf), axis=1)
+        next_mask = np.arange(net.output_dim) == best[:, None]
+    bootstrap = np.array([t.bootstrap for t in batch])
+    rewards = np.array([t.reward for t in batch])
+    targets = td_target(rewards, bootstrap == 0.0, target_q, next_mask, bootstrap)
     if config.target_clip is not None:
         low, high = config.target_clip
         np.clip(targets, low, high, out=targets)

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..beliefs import DiscreteEpistemicBelief, epistemic_condition
 from ..mdp import Environment, StateEncoding, StepAfterDone
+from ..nets import canonical_set
 
 TERMINATE, TEST, REPLACE, USE = 0, 1, 2, 3
 ACTION_NAMES = ("terminate", "test", "replace", "use")
@@ -192,9 +193,7 @@ class ComponentEnv(Environment):
     def encode(self, state: CoinState) -> StateEncoding:
         frac = state.days_left / self.config.horizon
         if self.encoding == "set":
-            elements = tuple(
-                np.array([float(y)]) for y in sorted(state.observations)
-            )
-            return StateEncoding(elements, np.array([frac]))
+            elements = np.reshape(state.observations, (-1, 1))
+            return StateEncoding(canonical_set(elements, 1), np.array([frac]))
         psi = belief_psi(state.belief, self.config)
-        return StateEncoding((), np.array([psi, frac]))
+        return StateEncoding(canonical_set((), 1), np.array([psi, frac]))

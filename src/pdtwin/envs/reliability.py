@@ -23,6 +23,7 @@ from scipy.special import ndtr
 
 from ..beliefs import GaussianBelief, gaussian_condition
 from ..mdp import Environment, StateEncoding, StepAfterDone
+from ..nets import canonical_set
 
 MEASUREMENT, FE, LAB = 0, 1, 2
 ACTION_NAMES = ("measurement", "fe", "lab")
@@ -61,6 +62,13 @@ class ReliabilityConfig:
     # the lab tests that could still confirm it
     failure_penalty: float = -100.0
 
+    def __post_init__(self):
+        if self.n_basis != self.input_dim:
+            raise ValueError(
+                f"n_basis ({self.n_basis}) must equal input_dim ({self.input_dim}): "
+                "the basis features are the raw input coordinates"
+            )
+
     def candidate_pool(self) -> np.ndarray:
         """Fixed design-candidate grid in [-1, 1]^input_dim."""
         rng = np.random.default_rng(self.pool_seed)
@@ -75,29 +83,31 @@ def basis_features(x: np.ndarray, config: ReliabilityConfig) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurrogatePosterior:
-    """Gaussian posterior over the response-surface weights."""
+    """Gaussian posterior over the response-surface weights.
 
-    weight_mean: tuple  # length n_basis
-    weight_covariance: tuple  # n_basis x n_basis, row tuples
+    Build it with ``from_arrays``, which stores read-only float copies and
+    makes the covariance exactly symmetric.
+    """
+
+    weight_mean: np.ndarray  # (n_basis,)
+    weight_covariance: np.ndarray  # (n_basis, n_basis)
 
     def mean_array(self) -> np.ndarray:
-        return np.asarray(self.weight_mean, dtype=float)
+        return self.weight_mean
 
     def cov_array(self) -> np.ndarray:
-        cov = np.asarray(self.weight_covariance, dtype=float)
-        if not np.allclose(cov, cov.T, atol=1e-10):
-            raise ValueError("weight covariance must be symmetric")
-        return cov
+        return self.weight_covariance
 
     @staticmethod
     def from_arrays(mean: np.ndarray, cov: np.ndarray) -> "SurrogatePosterior":
+        mean = np.array(mean, dtype=float)
+        cov = np.asarray(cov, dtype=float)
         cov = 0.5 * (cov + cov.T)
-        return SurrogatePosterior(
-            tuple(float(v) for v in mean),
-            tuple(tuple(float(v) for v in row) for row in cov),
-        )
+        mean.flags.writeable = False
+        cov.flags.writeable = False
+        return SurrogatePosterior(mean, cov)
 
     @staticmethod
     def prior(config: ReliabilityConfig) -> "SurrogatePosterior":
@@ -141,6 +151,8 @@ class ReliabilityState:
     true_discrepancy: float
     done: bool = False
     outcome: str | None = None  # CONFIRMED_* or FAILED once done
+    # (E[p_f], Std(p_f)) under this state's beliefs; reset and step set it
+    pf_stats: tuple | None = None
 
 
 def pf_given_theta(
@@ -238,7 +250,7 @@ class ReliabilityEnv(Environment):
         mu = cfg.prior_discrepancy_mean + np.sqrt(
             cfg.prior_discrepancy_var
         ) * rng.standard_normal()
-        return ReliabilityState(
+        state = ReliabilityState(
             surrogate=SurrogatePosterior.prior(cfg),
             defect_belief=GaussianBelief(cfg.prior_defect_mean, cfg.prior_defect_var),
             discrepancy_belief=GaussianBelief(
@@ -251,6 +263,7 @@ class ReliabilityEnv(Environment):
             true_defect=float(d),
             true_discrepancy=float(mu),
         )
+        return replace(state, pf_stats=estimate_pf_stats(state, cfg, state.crn_seed))
 
     def action_mask(self, state) -> np.ndarray:
         return np.ones(self.action_count, dtype=bool)
@@ -264,23 +277,17 @@ class ReliabilityEnv(Environment):
             obs = state.true_defect + np.sqrt(
                 cfg.measurement_noise_var
             ) * rng.standard_normal()
-            new_state = replace(
-                state,
-                defect_belief=gaussian_condition(
-                    state.defect_belief, float(obs), cfg.measurement_noise_var
-                ),
-            )
+            changes = {"defect_belief": gaussian_condition(
+                state.defect_belief, float(obs), cfg.measurement_noise_var
+            )}
             reward = cfg.cost_measurement
         elif action == LAB:
             obs = state.true_discrepancy + np.sqrt(
                 cfg.lab_noise_var
             ) * rng.standard_normal()
-            new_state = replace(
-                state,
-                discrepancy_belief=gaussian_condition(
-                    state.discrepancy_belief, float(obs), cfg.lab_noise_var
-                ),
-            )
+            changes = {"discrepancy_belief": gaussian_condition(
+                state.discrepancy_belief, float(obs), cfg.lab_noise_var
+            )}
             reward = cfg.cost_lab
         elif action == FE:
             x = select_fe_input(state.surrogate, self.pool, cfg)
@@ -289,26 +296,25 @@ class ReliabilityEnv(Environment):
                 np.asarray(state.true_beta) @ phi
                 + np.sqrt(cfg.fe_noise_var) * rng.standard_normal()
             )
-            new_state = replace(
-                state,
-                surrogate=state.surrogate.observe(phi, y, cfg.fe_noise_var),
-                fe_observations=state.fe_observations
+            changes = {
+                "surrogate": state.surrogate.observe(phi, y, cfg.fe_noise_var),
+                "fe_observations": state.fe_observations
                 + (tuple(float(v) for v in x) + (y,),),
-            )
+            }
             reward = cfg.cost_fe
         else:
             raise ValueError(f"unknown action {action}")
 
-        new_state = replace(new_state, actions_taken=state.actions_taken + 1)
-        mean, sd = estimate_pf_stats(new_state, cfg, new_state.crn_seed)
-        verdict = check_objective(mean, sd, cfg.target)
-        if verdict != UNDECIDED:
-            new_state = replace(new_state, done=True, outcome=verdict)
-            return new_state, reward, True
-        if new_state.actions_taken >= cfg.max_actions:
-            new_state = replace(new_state, done=True, outcome=FAILED)
-            return new_state, reward + cfg.failure_penalty, True
-        return new_state, reward, False
+        new_state = replace(state, actions_taken=state.actions_taken + 1, **changes)
+        stats = estimate_pf_stats(new_state, cfg, new_state.crn_seed)
+        verdict = check_objective(*stats, cfg.target)
+        if verdict == UNDECIDED and new_state.actions_taken >= cfg.max_actions:
+            verdict, reward = FAILED, reward + cfg.failure_penalty
+        done = verdict != UNDECIDED
+        new_state = replace(
+            new_state, pf_stats=stats, done=done, outcome=verdict if done else None
+        )
+        return new_state, reward, done
 
     def surrogate_spread(self, surrogate: SurrogatePosterior) -> float:
         """Largest remaining predictive sd over the design pool, in [0, 1]
@@ -326,7 +332,7 @@ class ReliabilityEnv(Environment):
         two numbers summarize how far the remaining uncertainty is from a
         decision on either side.
         """
-        mean, sd = estimate_pf_stats(state, self.config, state.crn_seed)
+        mean, sd = state.pf_stats
         target = self.config.target
 
         def scaled(value):
@@ -336,7 +342,7 @@ class ReliabilityEnv(Environment):
         return scaled(mean + 2.0 * sd), scaled(mean - 2.0 * sd)
 
     def encode(self, state: ReliabilityState) -> StateEncoding:
-        elements = tuple(np.asarray(obs, dtype=float) for obs in state.fe_observations)
+        elements = canonical_set(state.fe_observations, self.element_dim)
         upper, lower = self.objective_margins(state)
         aux = np.array(
             [

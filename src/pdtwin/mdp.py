@@ -28,9 +28,13 @@ class StepAfterDone(RuntimeError):
 
 @dataclass(frozen=True)
 class StateEncoding:
-    """Feature view of a state: a set of vectors plus a dense auxiliary vector."""
+    """Feature view of a state: a set of vectors plus a dense auxiliary vector.
 
-    elements: tuple  # tuple of 1-d numpy arrays, all with the same dimension
+    The set is one float array with a row per element, sorted lexicographically
+    (``nets.canonical_set`` builds it); an empty set has shape (0, element_dim).
+    """
+
+    elements: np.ndarray  # (k, element_dim) floats, rows in canonical order
     aux: np.ndarray
 
 

@@ -2,9 +2,9 @@
 
 Both the per-element network ``phi`` and the head ``rho`` are plain MLPs
 (ReLU hidden layers, identity output) implemented in numpy with hand-written
-reverse-mode gradients. Set elements are presorted lexicographically before
-summation, which makes permutation invariance bit-exact despite
-floating-point non-associativity.
+reverse-mode gradients. A set arrives as one (k, d) array whose rows are
+in lexicographic order (``canonical_set``); summing in that fixed order makes
+permutation invariance bit-exact despite floating-point non-associativity.
 """
 
 from __future__ import annotations
@@ -70,13 +70,17 @@ class Mlp:
         return grads_w, grads_b, delta
 
 
-def canonical_order(elements) -> tuple:
-    """Sort set elements lexicographically (first coordinate primary)."""
-    if len(elements) <= 1:
-        return tuple(elements)
-    stacked = np.stack(elements)
-    order = np.lexsort(stacked.T[::-1])
-    return tuple(elements[i] for i in order)
+def canonical_set(elements, element_dim: int) -> np.ndarray:
+    """Set elements as one float (k, element_dim) array, rows in lexicographic
+    order (first coordinate primary); (0, element_dim) for the empty set."""
+    rows = np.asarray(elements, dtype=float)
+    if rows.size == 0:
+        return np.empty((0, element_dim))
+    if rows.ndim != 2 or rows.shape[1] != element_dim:
+        raise DimensionMismatch(f"set elements must have shape ({element_dim},)")
+    if len(rows) > 1:
+        rows = rows[np.lexsort(rows.T[::-1])]
+    return rows
 
 
 class DeepSetsNet:
@@ -131,79 +135,45 @@ class DeepSetsNet:
                 raise DimensionMismatch(f"shape mismatch for {name}")
             own[name][...] = value
 
-    # single-state interface ----------------------------------------------
+    # single-state interface: batches of one --------------------------------
 
-    def forward(self, elements, aux: np.ndarray) -> np.ndarray:
-        q, _ = self._forward_cached(elements, aux)
-        return q
-
-    def _forward_cached(self, elements, aux):
+    def _single(self, elements, aux) -> list:
         aux = np.asarray(aux, dtype=float)
         if aux.shape != (self.aux_dim,):
             raise DimensionMismatch(f"aux must have shape ({self.aux_dim},)")
-        elements = canonical_order(
-            [np.asarray(e, dtype=float) for e in elements]
-        )
-        for e in elements:
-            if e.shape != (self.element_dim,):
-                raise DimensionMismatch(
-                    f"set elements must have shape ({self.element_dim},)"
-                )
-        if elements:
-            phi_out, phi_cache = self.phi.forward(np.stack(elements))
-            pooled = phi_out.sum(axis=0)
-        else:
-            phi_cache = None
-            pooled = np.zeros(self.latent_dim)
-        rho_in = np.concatenate([pooled, aux])[None, :]
-        q, rho_cache = self.rho.forward(rho_in)
-        return q[0], (elements, phi_cache, rho_cache)
+        return [(canonical_set(elements, self.element_dim), aux)]
+
+    def forward(self, elements, aux: np.ndarray) -> np.ndarray:
+        """Q-values of one state; the elements may come in any order."""
+        q, _ = self.forward_batch(self._single(elements, aux))
+        return q[0]
 
     def backward(self, elements, aux, upstream: np.ndarray) -> dict:
         """Exact gradients of upstream . q with respect to every parameter."""
         upstream = np.asarray(upstream, dtype=float)
         if upstream.shape != (self.output_dim,):
             raise DimensionMismatch(f"upstream must have shape ({self.output_dim},)")
-        _, (ordered, phi_cache, rho_cache) = self._forward_cached(elements, aux)
-        rho_gw, rho_gb, d_rho_in = self.rho.backward(rho_cache, upstream[None, :])
-        grads = {}
-        for i in range(self.rho.n_layers):
-            grads[f"rho.w{i}"] = rho_gw[i]
-            grads[f"rho.b{i}"] = rho_gb[i]
-        d_pooled = d_rho_in[0, : self.latent_dim]
-        if ordered:
-            # the pooled sum broadcasts the same gradient to every element
-            d_phi_out = np.tile(d_pooled, (len(ordered), 1))
-            phi_gw, phi_gb, _ = self.phi.backward(phi_cache, d_phi_out)
-        else:
-            phi_gw = [np.zeros_like(w) for w in self.phi.weights]
-            phi_gb = [np.zeros_like(b) for b in self.phi.biases]
-        for i in range(self.phi.n_layers):
-            grads[f"phi.w{i}"] = phi_gw[i]
-            grads[f"phi.b{i}"] = phi_gb[i]
-        return grads
+        _, cache = self.forward_batch(self._single(elements, aux))
+        return self.backward_batch(cache, upstream[None, :])
 
     # batched interface (training hot path) --------------------------------
 
     def forward_batch(self, encodings):
-        """Forward over a list of (elements, aux) pairs; returns (Q, cache)."""
+        """Forward over (elements, aux) pairs; returns (Q, cache).
+
+        Each ``elements`` must already be a canonical (k, element_dim) array
+        (see ``canonical_set``): summing the rows of every set in one fixed
+        order is what makes the pooled sum bit-exactly permutation invariant.
+        """
         batch = len(encodings)
-        aux = np.stack([np.asarray(a, dtype=float) for _, a in encodings])
-        element_rows = []
-        segment_ids = []
-        for i, (elements, _) in enumerate(encodings):
-            for e in canonical_order([np.asarray(v, dtype=float) for v in elements]):
-                element_rows.append(e)
-                segment_ids.append(i)
+        aux = np.stack([a for _, a in encodings])
+        sets = [e for e, _ in encodings]
+        seg = np.repeat(np.arange(batch), [len(e) for e in sets])
         pooled = np.zeros((batch, self.latent_dim))
-        if element_rows:
-            stacked = np.stack(element_rows)
-            seg = np.asarray(segment_ids)
-            phi_out, phi_cache = self.phi.forward(stacked)
+        phi_cache = None
+        if len(seg):
+            phi_out, phi_cache = self.phi.forward(np.concatenate(sets))
             np.add.at(pooled, seg, phi_out)
-        else:
-            seg = np.zeros(0, dtype=int)
-            phi_cache = None
         rho_in = np.concatenate([pooled, aux], axis=1)
         q, rho_cache = self.rho.forward(rho_in)
         return q, (seg, phi_cache, rho_cache, batch)

@@ -69,14 +69,20 @@ class TestEval:
         ])
         assert code == 1
 
-    def test_wrong_env_checkpoint_is_runtime_failure(self, tmp_path):
+    def test_wrong_env_checkpoint_is_usage_error(self, tmp_path, capsys):
         out = train_tiny(tmp_path)  # component, compressed encoding
-        code = run([
-            "eval", "--env", "reliability", "--episodes", "2",
-            "--checkpoint", str(out / "checkpoint.npz"),
-            "--out", str(tmp_path / "o"),
-        ])
-        assert code == 2
+        for command in ("eval", "compare"):
+            for flags, key in ((["--env", "reliability"], "env"),
+                               (["--env", "component", "--encoding", "set"],
+                                "encoding")):
+                capsys.readouterr()
+                code = run([
+                    command, *flags, "--episodes", "2",
+                    "--checkpoint", str(out / "checkpoint.npz"),
+                    "--out", str(tmp_path / "o"),
+                ])
+                assert code == 1
+                assert f"trained with {key}" in capsys.readouterr().err
 
 
 class TestOracle:
@@ -161,6 +167,20 @@ class TestParsing:
             "--config", str(cfg), "--out", str(tmp_path / "o"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("config", [
+        {"train": {"episodes": "abc"}},
+        {"env": {"reliability": {"n_basis": 3}}},
+    ])
+    def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code = run([
+            "train", "--env", "reliability",
+            "--config", str(cfg), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1

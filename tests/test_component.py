@@ -200,8 +200,17 @@ class TestEncodings:
     def test_compressed_encoding(self):
         env = ComponentEnv(encoding="compressed")
         enc = env.encode(make_state(0, 0, 10))
-        assert enc.elements == ()
+        assert enc.elements.shape == (0, 1)
         assert enc.aux == pytest.approx([0.5, 1.0])
+
+    @given(st.lists(st.integers(0, 1), max_size=10))
+    def test_encodings_are_canonical_float_arrays(self, obs):
+        state = make_state(obs.count(0), obs.count(1), 10 - len(obs),
+                           observations=tuple(obs))
+        for encoding, rows in (("set", sorted(obs)), ("compressed", [])):
+            elements = ComponentEnv(encoding=encoding).encode(state).elements
+            assert elements.dtype == np.float64
+            assert np.array_equal(elements, np.reshape(rows, (-1, 1)))
 
     def test_success_probability_prior(self):
         assert success_probability(0.5) == pytest.approx(0.745)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -80,6 +81,36 @@ class TestValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_run_config(str(path), "component")
+
+    @pytest.mark.parametrize("section, values", [
+        ("train", {"episodes": "abc"}),
+        ("train", {"episodes": 2.5}),
+        ("train", {"double_dqn": 1}),
+        ("train", {"epsilon_decay_episodes": "x"}),
+        ("component", {"horizon": True}),
+        ("reliability", {"n_basis": 3}),
+        ("train", {"epsilon_start": 0.1, "epsilon_end": 0.5}),
+    ])
+    def test_rejects_bad_values(self, tmp_path, section, values):
+        raw = {"train": values} if section == "train" else {"env": {section: values}}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError):
+            load_run_config(str(path), "reliability")
+
+    def test_accepts_int_for_float_and_null_for_optional(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(
+            {"train": {"learning_rate": 1, "target_clip": None, "snapshot_every": 7}}))
+        cfg = load_run_config(str(path), "reliability")
+        assert cfg.train.learning_rate == 1 and cfg.train.snapshot_every == 7
+
+    def test_every_field_annotation_is_checkable(self):
+        from pdtwin.config import _TYPES, CoinConfig, ReliabilityConfig, TrainConfig
+
+        for cls in (CoinConfig, ReliabilityConfig, TrainConfig):
+            for field in dataclasses.fields(cls):
+                assert set(field.type.split(" | ")) <= set(_TYPES), field.name
 
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "run.json"

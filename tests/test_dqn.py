@@ -60,8 +60,7 @@ class TestReplayBuffer:
         for i in range(5):
             buf.push(i)
         assert len(buf) == 3
-        assert 0 not in buf and 1 not in buf
-        assert all(i in buf for i in (2, 3, 4))
+        assert sorted(buf.sample(3, np.random.default_rng(0))) == [2, 3, 4]
 
     def test_sample_without_replacement(self):
         buf = ReplayBuffer(10)
@@ -116,6 +115,32 @@ class TestTdTarget:
         next_q = np.array([5.0, 9.0, 7.0])
         mask = np.array([True, False, True])
         assert td_target(1.0, False, next_q, mask, 0.5) == pytest.approx(4.5)
+
+    @pytest.mark.parametrize("double", [False, True])
+    def test_batch_equals_per_row_loop(self, double):
+        rng = np.random.default_rng(23)
+        n, actions = 200, 4
+        rewards = rng.standard_normal(n)
+        bootstrap = np.where(rng.random(n) < 0.3, 0.0, rng.choice([0.5, 0.9, 1.0], n))
+        target_q = rng.standard_normal((n, actions))
+        online_q = rng.standard_normal((n, actions))
+        mask = rng.random((n, actions)) < 0.6
+        mask[np.arange(n), rng.integers(actions, size=n)] = True
+        expected = np.empty(n)
+        for i in range(n):  # reference: one transition at a time
+            if bootstrap[i] == 0.0:
+                expected[i] = rewards[i]
+            elif double:
+                best = int(np.argmax(np.where(mask[i], online_q[i], -np.inf)))
+                expected[i] = rewards[i] + bootstrap[i] * target_q[i][best]
+            else:
+                expected[i] = td_target(
+                    rewards[i], False, target_q[i], mask[i], bootstrap[i])
+        if double:
+            best = np.argmax(np.where(mask, online_q, -np.inf), axis=1)
+            mask = np.arange(actions) == best[:, None]
+        batched = td_target(rewards, bootstrap == 0.0, target_q, mask, bootstrap)
+        assert np.array_equal(batched, expected)
 
 
 class TestNStepAccumulator:

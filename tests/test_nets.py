@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdtwin.nets import (
     Adam, CHECKPOINT_VERSION, DeepSetsNet, DimensionMismatch, Mlp,
-    canonical_order, load_checkpoint, save_checkpoint,
+    canonical_set, load_checkpoint, save_checkpoint,
 )
 
 
@@ -18,6 +18,15 @@ def small_net(seed=0):
 
 def random_set(rng, n, dim=2):
     return [rng.standard_normal(dim) for _ in range(n)]
+
+
+def random_encodings(rng, count):
+    """(canonical set, aux) pairs in the form envs hand to forward_batch."""
+    return [
+        (canonical_set(random_set(rng, int(rng.integers(0, 6))), 2),
+         rng.standard_normal(1))
+        for _ in range(count)
+    ]
 
 
 class TestMlp:
@@ -74,18 +83,26 @@ class TestMlp:
 class TestCanonicalOrder:
     def test_sorts_by_first_coordinate(self):
         elements = [np.array([2.0, 0.0]), np.array([1.0, 5.0])]
-        ordered = canonical_order(elements)
-        assert ordered[0][0] == 1.0
+        ordered = canonical_set(elements, 2)
+        assert np.array_equal(ordered, [[1.0, 5.0], [2.0, 0.0]])
 
     def test_ties_broken_by_later_coordinates(self):
         elements = [np.array([1.0, 7.0]), np.array([1.0, 3.0])]
-        ordered = canonical_order(elements)
-        assert ordered[0][1] == 3.0
+        ordered = canonical_set(elements, 2)
+        assert np.array_equal(ordered, [[1.0, 3.0], [1.0, 7.0]])
 
     def test_empty_and_singleton(self):
-        assert canonical_order([]) == ()
-        one = [np.array([1.0])]
-        assert canonical_order(one) == tuple(one)
+        for empty in ([], (), np.empty((0, 3))):
+            out = canonical_set(empty, 3)
+            assert out.shape == (0, 3) and out.dtype == float
+        one = canonical_set([(1, 2)], 2)
+        assert one.dtype == float and np.array_equal(one, [[1.0, 2.0]])
+
+    def test_rejects_wrong_element_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            canonical_set([np.zeros(3), np.zeros(3)], 2)
+        with pytest.raises(DimensionMismatch):
+            canonical_set(np.zeros(4), 2)
 
 
 class TestPermutationInvariance:
@@ -157,21 +174,16 @@ class TestBatchedInterface:
     def test_forward_batch_matches_single(self):
         net = small_net(seed=11)
         rng = np.random.default_rng(13)
-        encodings = [
-            (random_set(rng, int(rng.integers(0, 6))), rng.standard_normal(1))
-            for _ in range(9)
-        ]
+        encodings = random_encodings(rng, 9)
         q, _ = net.forward_batch(encodings)
         for i, (elements, aux) in enumerate(encodings):
-            assert np.allclose(q[i], net.forward(elements, aux), atol=1e-12)
+            shuffled = elements[rng.permutation(len(elements))]
+            assert np.array_equal(q[i], net.forward(shuffled, aux))
 
     def test_backward_batch_sums_per_sample_gradients(self):
         net = small_net(seed=11)
         rng = np.random.default_rng(17)
-        encodings = [
-            (random_set(rng, int(rng.integers(0, 6))), rng.standard_normal(1))
-            for _ in range(5)
-        ]
+        encodings = random_encodings(rng, 5)
         d_q = rng.standard_normal((5, 2))
         _, cache = net.forward_batch(encodings)
         batched = net.backward_batch(cache, d_q)
@@ -184,7 +196,8 @@ class TestBatchedInterface:
 
     def test_all_empty_batch(self):
         net = small_net()
-        encodings = [([], np.array([0.1])), ([], np.array([0.2]))]
+        empty = canonical_set([], 2)
+        encodings = [(empty, np.array([0.1])), (empty, np.array([0.2]))]
         q, cache = net.forward_batch(encodings)
         assert q.shape == (2, 2)
         grads = net.backward_batch(cache, np.ones((2, 2)))

@@ -73,6 +73,15 @@ class TestSurrogatePosterior:
         assert post.weight_mean[0] == pytest.approx(2.0, abs=1e-4)
         assert post.weight_mean[1] == pytest.approx(CONFIG.prior_beta_mean)
 
+    def test_holds_read_only_symmetric_arrays(self):
+        post = SurrogatePosterior.prior(CONFIG).observe(
+            np.array([0.3, -0.2, 0.9, 0.1, 0.5]), 1.0, CONFIG.fe_noise_var
+        )
+        cov = post.cov_array()
+        assert np.array_equal(cov, cov.T)
+        for arr in (post.mean_array(), cov):
+            assert not arr.flags.writeable
+
     def test_predictive_variance_positive_semidefinite(self):
         prior = SurrogatePosterior.prior(CONFIG)
         pool = CONFIG.candidate_pool()
@@ -253,7 +262,7 @@ class TestEnvironment:
     def test_encoding(self):
         state = fresh_state()
         enc = self.env.encode(state)
-        assert enc.elements == ()
+        assert enc.elements.shape == (0, CONFIG.input_dim + 1)
         assert enc.aux[:6] == pytest.approx(
             [CONFIG.prior_defect_mean, np.sqrt(CONFIG.prior_defect_var),
              CONFIG.prior_discrepancy_mean, np.sqrt(CONFIG.prior_discrepancy_var),
@@ -300,3 +309,30 @@ class TestEnvironment:
         rec = run_episode(self.env, RandomPolicy(), seed=3)
         seeds = {t.next_state.crn_seed for t in rec.transitions}
         assert len(seeds) == 1
+
+    def test_encodings_are_canonical_float_arrays(self):
+        rec = run_episode(self.env, RandomPolicy(), seed=4)
+        dim = CONFIG.input_dim + 1
+        states = [rec.transitions[0].state] + [t.next_state for t in rec.transitions]
+        assert any(len(s.fe_observations) > 1 for s in states)
+        for state in states:
+            elements = self.env.encode(state).elements
+            assert elements.dtype == np.float64
+            # rows in lexicographic order: the order Python sorts tuples in
+            expected = np.array(sorted(state.fe_observations)).reshape(-1, dim)
+            assert np.array_equal(elements, expected)
+
+    def test_pf_stats_stored_once_per_state(self):
+        rec = run_episode(self.env, RandomPolicy(), seed=5)
+        states = [rec.transitions[0].state] + [t.next_state for t in rec.transitions]
+        for state in states:
+            assert state.pf_stats == estimate_pf_stats(state, CONFIG, state.crn_seed)
+        final = states[-1]
+        assert final.outcome == FAILED or check_objective(
+            *final.pf_stats, CONFIG.target) == final.outcome
+
+
+class TestConfigValidation:
+    def test_basis_must_match_input_dimension(self):
+        with pytest.raises(ValueError, match="n_basis"):
+            ReliabilityConfig(n_basis=3)
