@@ -9,8 +9,8 @@ new objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable
 
 NORMALIZATION_TOL = 1e-12
 
@@ -44,11 +44,6 @@ class DiscreteEpistemicBelief:
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"weights must sum to 1, got {total!r}")
 
-    @staticmethod
-    def uniform(support: Sequence) -> "DiscreteEpistemicBelief":
-        n = len(support)
-        return DiscreteEpistemicBelief(tuple(support), tuple(1.0 / n for _ in range(n)))
-
 
 @dataclass(frozen=True)
 class GaussianBelief:
@@ -66,38 +61,9 @@ class GaussianBelief:
         return math.sqrt(self.variance)
 
 
-@dataclass(frozen=True)
-class InformationEvent:
-    """One gathered piece of information: what was done, and what was seen.
-
-    ``decision`` describes the conditions/action under which the observation
-    was made; ``observation`` is the observed value(s).
-    """
-
-    decision: Any
-    observation: tuple
-
-    @staticmethod
-    def of(decision: Any, *observation: float) -> "InformationEvent":
-        return InformationEvent(decision, tuple(observation))
-
-
-@dataclass
-class PdtTriplet:
-    """Attributes, structural-assumption tag, and an append-only event log."""
-
-    attributes: tuple
-    structural_assumptions: str
-    information: list = field(default_factory=list)
-
-    def record(self, event: InformationEvent) -> None:
-        self.information.append(event)
-
-
 def epistemic_condition(
     prior: DiscreteEpistemicBelief,
     likelihood: Callable[[Any], float],
-    event: InformationEvent | None = None,
 ) -> DiscreteEpistemicBelief:
     """Bayes-update the weights of a discrete belief.
 
@@ -120,16 +86,6 @@ def epistemic_condition(
     total = math.fsum(posterior)
     posterior = tuple(p / total for p in posterior)
     return DiscreteEpistemicBelief(prior.support, posterior)
-
-
-def predictive_probability(
-    belief: DiscreteEpistemicBelief, conditional: Callable[[Any], float]
-) -> float:
-    """Marginal probability of an event: sum of P(event|theta) over the belief."""
-    values = [conditional(theta) for theta in belief.support]
-    if any(not (0.0 <= v <= 1.0) for v in values):
-        raise ValueError("conditional probabilities must lie in [0, 1]")
-    return math.fsum(v * w for v, w in zip(values, belief.weights))
 
 
 def gaussian_condition(

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import json
 import os
 import sys
 from pathlib import Path
@@ -27,7 +29,7 @@ from .mdp import (
     run_episode, summary_to_json,
 )
 from .nets import load_checkpoint, save_checkpoint
-from .oracle import OraclePolicy, backward_induction, table_to_csv
+from .oracle import OraclePolicy, TabularState, backward_induction, table_to_csv
 
 OUT_DIR_ENV_VAR = "PDTWIN_OUT"
 COMPONENT_HIST_RANGE = (-1e7, 1e7)  # return bounds: 10 uses at +-1M each
@@ -124,6 +126,18 @@ def _reliability_rows(env, policy, n_episodes, base_seed):
     return rows
 
 
+def _reliability_summary(rows) -> tuple:
+    """Success rate, and mean total cost of the successful episodes (None if none)."""
+    costs = [r["total_cost"] for r in rows if r["success"]]
+    return len(costs) / len(rows), (float(np.mean(costs)) if costs else None)
+
+
+def _write_json(path, block: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(block, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def cmd_eval(args) -> int:
     run_config = config_mod.load_run_config(
         args.config, args.env, seed=args.seed, constrained=args.constrained,
@@ -136,20 +150,10 @@ def cmd_eval(args) -> int:
     if args.env == "reliability":
         rows = _reliability_rows(env, policy, n, args.seed)
         _write_reliability_csv(out / "episodes.csv", rows)
-        successes = [r for r in rows if r["success"]]
-        block = {
-            "success_rate": len(successes) / n,
-            "mean_cost_successful": (
-                float(np.mean([r["total_cost"] for r in successes]))
-                if successes else None
-            ),
-            "n_episodes": n,
-        }
-        import json
-
-        with open(out / "summary.json", "w") as fh:
-            json.dump(block, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        rate, mean_cost = _reliability_summary(rows)
+        _write_json(out / "summary.json", {
+            "success_rate": rate, "mean_cost_successful": mean_cost, "n_episodes": n,
+        })
     else:
         lengths = []
         summary = evaluate_policy(
@@ -175,22 +179,13 @@ def cmd_oracle(args) -> int:
     out = _out_dir(args)
     table = backward_induction(run_config.component)
     table_to_csv(out / "oracle_table.csv", table)
-    from .oracle import TabularState
-
     start = TabularState(0, 0, run_config.component.horizon)
-    import json
-
-    with open(out / "oracle_summary.json", "w") as fh:
-        json.dump(
-            {
-                "optimal_value": table.values[start],
-                "optimal_first_action": table.actions[start],
-                "constrained": run_config.component.constrained,
-                "n_states": len(table.values),
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(out / "oracle_summary.json", {
+        "optimal_value": table.values[start],
+        "optimal_first_action": table.actions[start],
+        "constrained": run_config.component.constrained,
+        "n_states": len(table.values),
+    })
     config_mod.write_resolved(
         out / "resolved_config.json", run_config,
         extra={"command": "oracle", "constrained": args.constrained},
@@ -214,8 +209,6 @@ def _write_reliability_csv(path, rows) -> None:
 
 
 def _compare_component(args, run_config, out) -> None:
-    import dataclasses
-
     env = ComponentEnv(run_config.component, encoding=args.encoding)
     constrained_config = dataclasses.replace(run_config.component, constrained=True)
     constrained_env = ComponentEnv(constrained_config, encoding=args.encoding)
@@ -277,13 +270,9 @@ def _compare_reliability(args, run_config, out) -> None:
         for name, policy in policies:
             rows = _reliability_rows(env, policy, n, args.seed)
             _write_reliability_csv(out / f"episodes_{name}.csv", rows)
-            successes = [r for r in rows if r["success"]]
-            mean_cost = (
-                repr(float(np.mean([r["total_cost"] for r in successes])))
-                if successes else ""
-            )
+            rate, mean_cost = _reliability_summary(rows)
             writer.writerow(
-                [name, repr(len(successes) / n), mean_cost,
+                [name, repr(rate), "" if mean_cost is None else repr(mean_cost),
                  repr(float(np.mean([r["n_measurement"] for r in rows]))),
                  repr(float(np.mean([r["n_fe"] for r in rows]))),
                  repr(float(np.mean([r["n_lab"] for r in rows])))]

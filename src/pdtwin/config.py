@@ -49,16 +49,22 @@ _TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
           "tuple": (tuple,), "None": (type(None),)}
 
 
-def _build(cls, overrides: dict, defaults: dict | None = None):
-    values = dict(defaults or {})
+def _build(cls, *layers: dict):
+    """Instantiate ``cls`` from layers of overrides; a later layer wins.
+
+    Every value of every layer is checked, including those a later layer
+    replaces, so a command-line value never hides a malformed file value.
+    """
+    values = {}
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key, value in overrides.items():
-        if key not in fields:
-            raise ConfigError(f"unknown key {key!r} for {cls.__name__}")
-        if isinstance(value, list):
-            value = tuple(value)
-        _check_type(cls, fields[key], value)
-        values[key] = value
+    for layer in layers:
+        for key, value in layer.items():
+            if key not in fields:
+                raise ConfigError(f"unknown key {key!r} for {cls.__name__}")
+            if isinstance(value, list):
+                value = tuple(value)
+            _check_type(cls, fields[key], value)
+            values[key] = value
     try:
         return cls(**values)
     except ValueError as exc:
@@ -115,22 +121,19 @@ def load_run_config(
         if key not in ("component", "reliability"):
             raise ConfigError(f"unknown env section {key!r}")
 
-    component_over = dict(env_section.get("component", {}))
-    if constrained:
-        component_over["constrained"] = True
-    component = _build(CoinConfig, component_over)
-    reliability = _build(ReliabilityConfig, dict(env_section.get("reliability", {})))
+    component = _build(
+        CoinConfig, env_section.get("component", {}),
+        {"constrained": True} if constrained else {},
+    )
+    reliability = _build(ReliabilityConfig, env_section.get("reliability", {}))
 
     train_defaults = (
         COMPONENT_TRAIN_DEFAULTS if environment == "component"
         else RELIABILITY_TRAIN_DEFAULTS
     )
-    train_over = dict(raw.get("train", {}))
-    if seed is not None:
-        train_over["seed"] = seed
-    if episodes is not None:
-        train_over["episodes"] = episodes
-    train = _build(TrainConfig, train_over, train_defaults)
+    cli_train = {key: value for key, value in (("seed", seed), ("episodes", episodes))
+                 if value is not None}
+    train = _build(TrainConfig, train_defaults, raw.get("train", {}), cli_train)
     return RunConfig(component, reliability, train)
 
 

@@ -35,6 +35,15 @@ class CoinConfig:
     constraint_threshold: float = 0.9  # Use requires P(theta_good) > this
     constrained: bool = False
 
+    def __post_init__(self):
+        if not (0.0 <= self.theta_bad < self.theta_good <= 1.0):
+            raise ValueError("need 0 <= theta_bad < theta_good <= 1")
+        for name in ("prior_bad", "constraint_threshold"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1]")
+        if self.horizon < 0:
+            raise ValueError("horizon must be >= 0")
+
 
 @dataclass(frozen=True)
 class ComponentBelief:
@@ -58,23 +67,34 @@ class CoinState:
     done: bool = False
 
 
+def _log_weight(log_prior: float, theta: float, belief: ComponentBelief) -> float:
+    """log(prior * theta^n_success * (1 - theta)^n_fail) with log 0 = -inf;
+    a zero count adds nothing, whatever theta is."""
+    weight = log_prior
+    if belief.n_success:
+        weight += belief.n_success * math.log(theta) if theta > 0.0 else -math.inf
+    if belief.n_fail:
+        weight += belief.n_fail * math.log1p(-theta) if theta < 1.0 else -math.inf
+    return weight
+
+
 def belief_psi(belief: ComponentBelief, config: CoinConfig = CoinConfig()) -> float:
     """Posterior probability that the current component is the bad one.
 
-    Computed in log-space so long runs of observations cannot underflow.
+    Computed in log-space so long runs of observations cannot underflow; a
+    zero prior or likelihood is log 0 = -inf. Counts that both hypotheses rule
+    out have probability 0 and keep the prior, so no NaN reaches a value.
     """
-    tb, tg = config.theta_bad, config.theta_good
-    log_bad = (
-        math.log(config.prior_bad)
-        + belief.n_success * math.log(tb)
-        + belief.n_fail * math.log1p(-tb)
+    prior = config.prior_bad
+    log_bad = _log_weight(
+        math.log(prior) if prior > 0.0 else -math.inf, config.theta_bad, belief
     )
-    log_good = (
-        math.log1p(-config.prior_bad)
-        + belief.n_success * math.log(tg)
-        + belief.n_fail * math.log1p(-tg)
+    log_good = _log_weight(
+        math.log1p(-prior) if prior < 1.0 else -math.inf, config.theta_good, belief
     )
     m = max(log_bad, log_good)
+    if m == -math.inf:
+        return prior
     eb, eg = math.exp(log_bad - m), math.exp(log_good - m)
     return eb / (eb + eg)
 
@@ -111,6 +131,15 @@ def expected_use_reward(psi: float, config: CoinConfig = CoinConfig()) -> float:
     return p0 * config.use_stake - (1.0 - p0) * config.use_stake
 
 
+def component_mask(belief: ComponentBelief, config: CoinConfig) -> np.ndarray:
+    """Legal actions given the outcome counts; the constraint bars Use unless
+    P(theta_good) exceeds the threshold."""
+    mask = np.ones(len(ACTION_NAMES), dtype=bool)
+    if config.constrained and 1.0 - belief_psi(belief, config) <= config.constraint_threshold:
+        mask[USE] = False
+    return mask
+
+
 class ComponentEnv(Environment):
     """Belief-state MDP over (component outcome counts, days left).
 
@@ -143,12 +172,7 @@ class ComponentEnv(Environment):
         )
 
     def action_mask(self, state: CoinState) -> np.ndarray:
-        mask = np.ones(self.action_count, dtype=bool)
-        if self.config.constrained:
-            psi = belief_psi(state.belief, self.config)
-            if 1.0 - psi <= self.config.constraint_threshold:
-                mask[USE] = False
-        return mask
+        return component_mask(state.belief, self.config)
 
     def step(self, state: CoinState, action: int, rng):
         cfg = self.config

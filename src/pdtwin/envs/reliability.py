@@ -36,8 +36,7 @@ FAILED = "failed"
 
 @dataclass(frozen=True)
 class ReliabilityConfig:
-    input_dim: int = 5
-    n_basis: int = 5  # basis features are the raw input coordinates
+    input_dim: int = 5  # the basis features are the raw input coordinates
     pool_size: int = 64
     pool_seed: int = 20_240_101
     prior_beta_mean: float = 0.5
@@ -62,13 +61,6 @@ class ReliabilityConfig:
     # the lab tests that could still confirm it
     failure_penalty: float = -100.0
 
-    def __post_init__(self):
-        if self.n_basis != self.input_dim:
-            raise ValueError(
-                f"n_basis ({self.n_basis}) must equal input_dim ({self.input_dim}): "
-                "the basis features are the raw input coordinates"
-            )
-
     def candidate_pool(self) -> np.ndarray:
         """Fixed design-candidate grid in [-1, 1]^input_dim."""
         rng = np.random.default_rng(self.pool_seed)
@@ -91,8 +83,8 @@ class SurrogatePosterior:
     makes the covariance exactly symmetric.
     """
 
-    weight_mean: np.ndarray  # (n_basis,)
-    weight_covariance: np.ndarray  # (n_basis, n_basis)
+    weight_mean: np.ndarray  # (input_dim,)
+    weight_covariance: np.ndarray  # (input_dim, input_dim)
 
     def mean_array(self) -> np.ndarray:
         return self.weight_mean
@@ -111,7 +103,7 @@ class SurrogatePosterior:
 
     @staticmethod
     def prior(config: ReliabilityConfig) -> "SurrogatePosterior":
-        k = config.n_basis
+        k = config.input_dim
         return SurrogatePosterior.from_arrays(
             np.full(k, config.prior_beta_mean),
             np.eye(k) * config.prior_beta_var,
@@ -171,7 +163,7 @@ def _pf_samples(state: ReliabilityState, config: ReliabilityConfig, seed: int):
     cov = state.surrogate.cov_array()
     eigval, eigvec = np.linalg.eigh(cov)
     root = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    betas = state.surrogate.mean_array() + rng.standard_normal((n, config.n_basis)) @ root.T
+    betas = state.surrogate.mean_array() + rng.standard_normal((n, config.input_dim)) @ root.T
     ds = state.defect_belief.mean + state.defect_belief.sd * rng.standard_normal(n)
     mus = (
         state.discrepancy_belief.mean
@@ -244,7 +236,7 @@ class ReliabilityEnv(Environment):
     def reset(self, rng) -> ReliabilityState:
         cfg = self.config
         beta = cfg.prior_beta_mean + np.sqrt(cfg.prior_beta_var) * rng.standard_normal(
-            cfg.n_basis
+            cfg.input_dim
         )
         d = cfg.prior_defect_mean + np.sqrt(cfg.prior_defect_var) * rng.standard_normal()
         mu = cfg.prior_discrepancy_mean + np.sqrt(

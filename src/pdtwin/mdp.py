@@ -11,7 +11,6 @@ from __future__ import annotations
 import abc
 import csv
 import json
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -78,16 +77,6 @@ class RandomPolicy(Policy):
     def act(self, state, mask, rng):
         legal = np.flatnonzero(mask)
         return int(legal[rng.integers(len(legal))])
-
-
-class FixedActionPolicy(Policy):
-    """Always the same action (must be legal wherever it is used)."""
-
-    def __init__(self, action: int):
-        self.action = action
-
-    def act(self, state, mask, rng):
-        return self.action
 
 
 class FunctionPolicy(Policy):
@@ -229,8 +218,3 @@ def summary_to_json(path, summary: EvalSummary, extra: dict | None = None):
     with open(path, "w") as fh:
         json.dump(block, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def standard_error(summary: EvalSummary) -> float:
-    n = len(summary.returns)
-    return summary.sd / math.sqrt(n) if n > 1 else 0.0

@@ -9,6 +9,7 @@ permutation invariance bit-exact despite floating-point non-associativity.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,15 +238,11 @@ def save_checkpoint(path, net: DeepSetsNet, meta: dict | None = None) -> None:
         "rho_hidden": list(net.rho.sizes[1:-1]),
         "meta": meta or {},
     }
-    import json
-
     np.savez(path, header=json.dumps(header, sort_keys=True), **arrays)
 
 
 def load_checkpoint(path):
     """Rebuild a DeepSetsNet from a checkpoint; returns (net, meta)."""
-    import json
-
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(str(data["header"]))
         if header["version"] != CHECKPOINT_VERSION:

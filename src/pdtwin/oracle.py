@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Callable
 
 from .envs.component import (
     REPLACE, TERMINATE, TEST, USE,
     CoinConfig, CoinState, ComponentBelief,
-    belief_psi, expected_use_reward, success_probability,
+    belief_psi, component_mask, expected_use_reward, success_probability,
 )
-from .mdp import Policy
+from .mdp import Policy, PolicyReturnedMaskedAction
 
 
 class PolicyUndefinedAtState(KeyError):
@@ -31,40 +32,57 @@ class TabularState:
     n_fail: int
     days_left: int
 
-
-def _mask(state: TabularState, config: CoinConfig) -> tuple:
-    allowed = [True, True, True, True]
-    if config.constrained:
-        psi = belief_psi(ComponentBelief(state.n_success, state.n_fail), config)
-        if 1.0 - psi <= config.constraint_threshold:
-            allowed[USE] = False
-    return tuple(allowed)
+    @property
+    def belief(self) -> ComponentBelief:
+        return ComponentBelief(self.n_success, self.n_fail)
 
 
-def enumerate_states(horizon: int = 10, config: CoinConfig | None = None) -> list:
+def q_backup(
+    state: TabularState,
+    action: int,
+    value_of: Callable[[TabularState], float],
+    config: CoinConfig,
+) -> float:
+    """Backed-up value of ``action`` in ``state`` (days_left > 0): its expected
+    reward plus the expected ``value_of`` the successor."""
+    if action == TERMINATE:
+        return 0.0
+    d = state.days_left - 1
+    if action == REPLACE:
+        return config.replace_cost + value_of(TabularState(0, 0, d))
+    if action not in (TEST, USE):
+        raise ValueError(f"unknown action {action}")
+    psi = belief_psi(state.belief, config)
+    p0 = success_probability(psi, config)
+    reward = config.test_cost if action == TEST else expected_use_reward(psi, config)
+    return reward + (
+        p0 * value_of(TabularState(state.n_success + 1, state.n_fail, d))
+        + (1.0 - p0) * value_of(TabularState(state.n_success, state.n_fail + 1, d))
+    )
+
+
+def _legal_actions(state: TabularState, config: CoinConfig) -> list:
+    mask = component_mask(state.belief, config)
+    return [action for action, legal in enumerate(mask) if legal]
+
+
+def enumerate_states(config: CoinConfig = CoinConfig()) -> list:
     """All states reachable from (0, 0, horizon), including the terminal layer."""
-    config = config or CoinConfig()
-    if config.horizon != horizon:
-        config = CoinConfig(**{**config.__dict__, "horizon": horizon})
-    start = TabularState(0, 0, horizon)
+    start = TabularState(0, 0, config.horizon)
     seen = {start}
     frontier = [start]
+
+    def visit(successor: TabularState) -> float:  # q_backup's successor lookups
+        if successor not in seen:
+            seen.add(successor)
+            frontier.append(successor)
+        return 0.0
+
     while frontier:
         state = frontier.pop()
-        if state.days_left == 0:
-            continue
-        successors = []
-        mask = _mask(state, config)
-        d = state.days_left - 1
-        if mask[TEST] or mask[USE]:
-            successors.append(TabularState(state.n_success + 1, state.n_fail, d))
-            successors.append(TabularState(state.n_success, state.n_fail + 1, d))
-        if mask[REPLACE]:
-            successors.append(TabularState(0, 0, d))
-        for nxt in successors:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+        if state.days_left > 0:
+            for action in _legal_actions(state, config):
+                q_backup(state, action, visit, config)
     return sorted(seen, key=lambda s: (s.days_left, s.n_success, s.n_fail))
 
 
@@ -72,44 +90,23 @@ def enumerate_states(horizon: int = 10, config: CoinConfig | None = None) -> lis
 class ValueTable:
     values: dict  # TabularState -> optimal value
     actions: dict  # TabularState -> optimal action (days_left > 0 only)
-    config: CoinConfig
 
 
 def backward_induction(config: CoinConfig = CoinConfig()) -> ValueTable:
     """Optimal value and action for every reachable tabular state."""
-    states = enumerate_states(config.horizon, config)
     values: dict = {}
     actions: dict = {}
-    for state in states:  # states sorted by days_left: successors come first
+    for state in enumerate_states(config):  # by days_left: successors come first
         if state.days_left == 0:
             values[state] = 0.0
             continue
-        psi = belief_psi(ComponentBelief(state.n_success, state.n_fail), config)
-        p0 = success_probability(psi, config)
-        d = state.days_left - 1
-        v_obs0 = values[TabularState(state.n_success + 1, state.n_fail, d)]
-        v_obs1 = values[TabularState(state.n_success, state.n_fail + 1, d)]
-        v_fresh = values[TabularState(0, 0, d)]
-        expect_next = p0 * v_obs0 + (1.0 - p0) * v_obs1
-
-        candidates = {
-            TERMINATE: 0.0,
-            TEST: config.test_cost + expect_next,
-            REPLACE: config.replace_cost + v_fresh,
-            USE: expected_use_reward(psi, config) + expect_next,
+        q = {
+            action: q_backup(state, action, values.__getitem__, config)
+            for action in _legal_actions(state, config)
         }
-        mask = _mask(state, config)
-        best_action = None
-        best_value = None
-        for action in (TERMINATE, TEST, REPLACE, USE):
-            if not mask[action]:
-                continue
-            v = candidates[action]
-            if best_value is None or v > best_value:
-                best_value, best_action = v, action
-        values[state] = best_value
-        actions[state] = best_action
-    return ValueTable(values, actions, config)
+        actions[state] = max(q, key=q.__getitem__)  # first maximum: lowest index
+        values[state] = q[actions[state]]
+    return ValueTable(values, actions)
 
 
 def policy_value(policy_map: dict, config: CoinConfig = CoinConfig()) -> float:
@@ -122,32 +119,16 @@ def policy_value(policy_map: dict, config: CoinConfig = CoinConfig()) -> float:
     def value(state: TabularState) -> float:
         if state.days_left == 0:
             return 0.0
-        if state in cache:
-            return cache[state]
-        if state not in policy_map:
-            raise PolicyUndefinedAtState(state)
-        action = policy_map[state]
-        psi = belief_psi(ComponentBelief(state.n_success, state.n_fail), config)
-        p0 = success_probability(psi, config)
-        d = state.days_left - 1
-        if action == TERMINATE:
-            v = 0.0
-        elif action == TEST:
-            v = config.test_cost + (
-                p0 * value(TabularState(state.n_success + 1, state.n_fail, d))
-                + (1.0 - p0) * value(TabularState(state.n_success, state.n_fail + 1, d))
-            )
-        elif action == REPLACE:
-            v = config.replace_cost + value(TabularState(0, 0, d))
-        elif action == USE:
-            v = expected_use_reward(psi, config) + (
-                p0 * value(TabularState(state.n_success + 1, state.n_fail, d))
-                + (1.0 - p0) * value(TabularState(state.n_success, state.n_fail + 1, d))
-            )
-        else:
-            raise ValueError(f"unknown action {action}")
-        cache[state] = v
-        return v
+        if state not in cache:
+            if state not in policy_map:
+                raise PolicyUndefinedAtState(state)
+            action = policy_map[state]
+            if not component_mask(state.belief, config)[action]:
+                raise PolicyReturnedMaskedAction(
+                    f"action {action} is masked in state {state!r}"
+                )
+            cache[state] = q_backup(state, action, value, config)
+        return cache[state]
 
     return value(TabularState(0, 0, config.horizon))
 

@@ -123,7 +123,7 @@ def test_criterion_3_oracle_dominance(oracle_table):
     mc_ok = abs(summary.mean - exact) <= 3.0 * se
 
     rng = np.random.default_rng(0)
-    states = [s for s in enumerate_states(10) if s.days_left > 0]
+    states = [s for s in enumerate_states(CoinConfig()) if s.days_left > 0]
     dominance_ok = all(
         policy_value({s: int(rng.integers(4)) for s in states}) <= vstar + 1e-9
         for _ in range(50)

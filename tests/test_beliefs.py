@@ -7,12 +7,10 @@ from pdtwin.beliefs import (
     AllZeroLikelihood,
     DiscreteEpistemicBelief,
     GaussianBelief,
-    InformationEvent,
-    PdtTriplet,
     epistemic_condition,
     gaussian_condition,
-    predictive_probability,
 )
+from pdtwin.envs.component import CoinConfig, success_probability
 
 TWO_COINS = DiscreteEpistemicBelief((0.5, 0.99), (0.5, 0.5))
 
@@ -41,10 +39,6 @@ class TestDiscreteBelief:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             DiscreteEpistemicBelief((0.5, 0.99), (-0.5, 1.5))
-
-    def test_uniform(self):
-        b = DiscreteEpistemicBelief.uniform((1, 2, 3, 4))
-        assert b.weights == (0.25,) * 4
 
 
 class TestEpistemicCondition:
@@ -112,16 +106,18 @@ class TestEpistemicCondition:
 
 
 class TestPredictiveProbability:
+    """P(Y = 0) marginalised over the belief, with psi = P(theta = 0.5)."""
+
     def test_two_coin_marginal(self):
-        assert predictive_probability(TWO_COINS, lik_success) == pytest.approx(0.745)
+        assert success_probability(TWO_COINS.weights[0]) == pytest.approx(0.745)
 
     def test_point_mass(self):
-        prior = DiscreteEpistemicBelief((0.5, 0.99), (1.0, 0.0))
-        assert predictive_probability(prior, lik_success) == 0.5
+        assert success_probability(1.0) == 0.5
+        assert success_probability(1.0, CoinConfig(theta_bad=0.0)) == 0.0
 
     def test_posterior_predictive(self):
         post = epistemic_condition(TWO_COINS, lik_success)
-        value = predictive_probability(post, lik_success)
+        value = success_probability(post.weights[0])
         assert value == pytest.approx(
             (0.25 / 0.745) * 0.5 + (0.495 / 0.745) * 0.99, abs=1e-12
         )
@@ -131,13 +127,9 @@ class TestPredictiveProbability:
         # shifting weight onto the hypothesis with the larger conditional
         # cannot lower the predictive probability
         post = epistemic_condition(TWO_COINS, lik_success)  # upweights 0.99
-        assert predictive_probability(post, lik_success) >= predictive_probability(
-            TWO_COINS, lik_success
+        assert success_probability(post.weights[0]) >= success_probability(
+            TWO_COINS.weights[0]
         )
-
-    def test_rejects_out_of_range_conditional(self):
-        with pytest.raises(ValueError):
-            predictive_probability(TWO_COINS, lambda theta: 1.5)
 
 
 class TestGaussianCondition:
@@ -168,12 +160,3 @@ class TestGaussianCondition:
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ValueError):
             gaussian_condition(GaussianBelief(0.0, 1.0), 0.0, 0.0)
-
-
-class TestPdtTriplet:
-    def test_event_log_appends(self):
-        pdt = PdtTriplet(("defect",), "v1")
-        pdt.record(InformationEvent.of("measure", 1.7))
-        pdt.record(InformationEvent.of("measure", 1.9))
-        assert len(pdt.information) == 2
-        assert pdt.information[0].observation == (1.7,)

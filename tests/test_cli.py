@@ -100,6 +100,20 @@ class TestOracle:
         assert summary["constrained"] is True
         assert summary["optimal_value"] == pytest.approx(3_472_260.273, abs=1e-3)
 
+    @pytest.mark.parametrize("component, optimal_value", [
+        ({"prior_bad": 0.0}, 9_800_000.0),  # ten uses of a 0.99 component
+        ({"prior_bad": 1.0}, 0.0),  # a fair bet is worth nothing
+        ({"theta_bad": 0.0, "theta_good": 1.0, "prior_bad": 1.0}, 0.0),
+    ])
+    def test_degenerate_configs(self, tmp_path, component, optimal_value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"env": {"component": component}}))
+        for flags in ([], ["--constrained"]):
+            out = tmp_path / f"oracle{len(flags)}"
+            assert run(["oracle", *flags, "--config", str(cfg), "--out", str(out)]) == 0
+            summary = json.loads((out / "oracle_summary.json").read_text())
+            assert summary["optimal_value"] == pytest.approx(optimal_value, abs=1e-6)
+
 
 class TestCompare:
     def test_component_compare(self, tmp_path):
@@ -170,13 +184,15 @@ class TestParsing:
 
     @pytest.mark.parametrize("config", [
         {"train": {"episodes": "abc"}},
-        {"env": {"reliability": {"n_basis": 3}}},
+        {"env": {"component": {"theta_bad": 1.5}}},
+        {"train": {"seed": "x"}},
     ])
     def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, config):
+        # --episodes and --seed replace the file's values but must not hide them
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(config))
         code = run([
-            "train", "--env", "reliability",
+            "train", "--env", "reliability", "--episodes", "2", "--seed", "3",
             "--config", str(cfg), "--out", str(tmp_path / "o"),
         ])
         assert code == 1

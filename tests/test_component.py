@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pdtwin.beliefs import epistemic_condition
+from pdtwin.beliefs import AllZeroLikelihood, epistemic_condition
 from pdtwin.envs.component import (
     REPLACE, TERMINATE, TEST, USE,
     CoinConfig, CoinState, ComponentBelief, ComponentEnv,
     belief_from_observations, belief_psi, expected_use_reward,
     success_probability,
 )
-from pdtwin.mdp import StepAfterDone, run_episode, FixedActionPolicy
+from pdtwin.mdp import FunctionPolicy, StepAfterDone, run_episode
 
 
 class FixedRng:
@@ -66,6 +66,42 @@ class TestBeliefPsi:
     def test_no_underflow_for_long_runs(self):
         psi = belief_psi(ComponentBelief(0, 1000))
         assert 0.0 <= psi <= 1.0
+
+    @pytest.mark.parametrize("config", [
+        CoinConfig(theta_good=1.0),
+        CoinConfig(theta_bad=0.0),
+        CoinConfig(theta_bad=0.0, theta_good=1.0),
+        CoinConfig(prior_bad=0.0),
+        CoinConfig(prior_bad=1.0),
+    ])
+    def test_degenerate_configs_match_sequential_conditioning(self, config):
+        # zero priors and likelihoods; counts no hypothesis explains keep the prior
+        for n_success in range(4):
+            for n_fail in range(4):
+                psi = belief_psi(ComponentBelief(n_success, n_fail), config)
+                try:
+                    belief = belief_from_observations(
+                        (0,) * n_success + (1,) * n_fail, config)
+                except AllZeroLikelihood:
+                    assert psi == config.prior_bad
+                else:
+                    assert psi == pytest.approx(belief.weights[0], abs=1e-12)
+
+
+class TestCoinConfig:
+    @pytest.mark.parametrize("values", [
+        {"theta_bad": 1.5}, {"theta_bad": -0.1}, {"theta_good": 1.01},
+        {"theta_bad": 0.99, "theta_good": 0.5}, {"theta_bad": 0.5, "theta_good": 0.5},
+        {"prior_bad": -0.2}, {"prior_bad": 1.2}, {"constraint_threshold": 1.5},
+        {"horizon": -1},
+    ])
+    def test_rejects_invalid_values(self, values):
+        with pytest.raises(ValueError):
+            CoinConfig(**values)
+
+    def test_accepts_boundaries(self):
+        CoinConfig(theta_bad=0.0, theta_good=1.0, prior_bad=1.0,
+                   constraint_threshold=0.0, horizon=0)
 
 
 class TestExpectedUseReward:
@@ -178,7 +214,7 @@ class TestEpisodeInvariants:
 
     def test_terminate_policy_returns_zero(self):
         env = ComponentEnv()
-        rec = run_episode(env, FixedActionPolicy(TERMINATE), seed=5)
+        rec = run_episode(env, FunctionPolicy(lambda s: TERMINATE), seed=5)
         assert rec.total_return == 0.0
         assert rec.length == 1
 

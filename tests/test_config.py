@@ -88,8 +88,9 @@ class TestValidation:
         ("train", {"double_dqn": 1}),
         ("train", {"epsilon_decay_episodes": "x"}),
         ("component", {"horizon": True}),
-        ("reliability", {"n_basis": 3}),
+        ("reliability", {"n_basis": 3}),  # a removed setting is an unknown key
         ("train", {"epsilon_start": 0.1, "epsilon_end": 0.5}),
+        ("component", {"theta_bad": 1.5}),
     ])
     def test_rejects_bad_values(self, tmp_path, section, values):
         raw = {"train": values} if section == "train" else {"env": {section: values}}

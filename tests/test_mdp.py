@@ -6,9 +6,9 @@ import pytest
 
 from pdtwin.envs.component import TERMINATE, USE, ComponentEnv
 from pdtwin.mdp import (
-    Environment, EpisodeRecord, FixedActionPolicy, FunctionPolicy,
+    Environment, EpisodeRecord, FunctionPolicy,
     PolicyReturnedMaskedAction, RandomPolicy, StateEncoding,
-    episodes_to_csv, evaluate_policy, run_episode, standard_error,
+    episodes_to_csv, evaluate_policy, run_episode,
     summary_to_json,
 )
 
@@ -43,19 +43,19 @@ class TwoStepEnv(Environment):
 
 class TestRunEpisode:
     def test_discounted_return(self):
-        rec = run_episode(TwoStepEnv(), FixedActionPolicy(0), seed=0, discount=0.5)
+        rec = run_episode(TwoStepEnv(), FunctionPolicy(lambda s: 0), seed=0, discount=0.5)
         assert rec.total_return == pytest.approx(1.0 + 0.5 * 2.0)
         assert rec.length == 2
 
     def test_masked_action_raises(self):
         with pytest.raises(PolicyReturnedMaskedAction):
             run_episode(
-                TwoStepEnv(mask_second_action=True), FixedActionPolicy(1), seed=0
+                TwoStepEnv(mask_second_action=True), FunctionPolicy(lambda s: 1), seed=0
             )
 
     def test_invalid_discount(self):
         with pytest.raises(ValueError):
-            run_episode(TwoStepEnv(), FixedActionPolicy(0), seed=0, discount=1.5)
+            run_episode(TwoStepEnv(), FunctionPolicy(lambda s: 0), seed=0, discount=1.5)
 
     def test_bit_exact_reruns(self):
         env = ComponentEnv()
@@ -76,7 +76,7 @@ class TestRunEpisode:
                 return state + 1, -1.0, state + 1 >= 2
 
         returns = [
-            run_episode(NegEnv(), FixedActionPolicy(0), 0, discount=d).total_return
+            run_episode(NegEnv(), FunctionPolicy(lambda s: 0), 0, discount=d).total_return
             for d in (0.0, 0.25, 0.5, 0.75, 1.0)
         ]
         assert all(a >= b for a, b in zip(returns, returns[1:]))
@@ -84,13 +84,13 @@ class TestRunEpisode:
 
 class TestEvaluatePolicy:
     def test_single_episode_sd_zero(self):
-        summary = evaluate_policy(TwoStepEnv(), FixedActionPolicy(0), 1, 0)
+        summary = evaluate_policy(TwoStepEnv(), FunctionPolicy(lambda s: 0), 1, 0)
         assert summary.sd == 0.0
         assert summary.mean == summary.returns[0]
 
     def test_terminate_policy_all_zero(self):
         env = ComponentEnv()
-        summary = evaluate_policy(env, FixedActionPolicy(TERMINATE), 50, 0)
+        summary = evaluate_policy(env, FunctionPolicy(lambda s: TERMINATE), 50, 0)
         assert summary.mean == 0.0 and summary.sd == 0.0
 
     def test_mean_within_min_max(self):
@@ -108,7 +108,7 @@ class TestEvaluatePolicy:
 
     def test_requires_at_least_one_episode(self):
         with pytest.raises(ValueError):
-            evaluate_policy(TwoStepEnv(), FixedActionPolicy(0), 0, 0)
+            evaluate_policy(TwoStepEnv(), FunctionPolicy(lambda s: 0), 0, 0)
 
     def test_histogram_counts_sum(self):
         env = ComponentEnv()
@@ -133,16 +133,12 @@ class TestExports:
         assert rows[0]["seed"] == "3"
 
     def test_json_summary(self, tmp_path):
-        summary = evaluate_policy(TwoStepEnv(), FixedActionPolicy(0), 3, 0)
+        summary = evaluate_policy(TwoStepEnv(), FunctionPolicy(lambda s: 0), 3, 0)
         path = tmp_path / "summary.json"
         summary_to_json(path, summary, extra={"policy": "fixed"})
         block = json.loads(path.read_text())
         assert block["mean"] == summary.mean
         assert block["policy"] == "fixed"
-
-    def test_standard_error(self):
-        summary = evaluate_policy(ComponentEnv(), RandomPolicy(), 100, 0)
-        assert standard_error(summary) == pytest.approx(summary.sd / 10.0)
 
 
 class TestFunctionPolicy:

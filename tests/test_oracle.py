@@ -2,11 +2,13 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdtwin.envs.component import (
     TERMINATE, USE, CoinConfig, ComponentEnv, belief_psi, ComponentBelief,
+    component_mask,
 )
-from pdtwin.mdp import evaluate_policy, standard_error
+from pdtwin.mdp import PolicyReturnedMaskedAction, evaluate_policy
 from pdtwin.oracle import (
     OraclePolicy, PolicyUndefinedAtState, TabularState, backward_induction,
     enumerate_states, policy_value, table_to_csv,
@@ -19,15 +21,15 @@ OPTIMAL_VALUE = 7_012_695.373035354
 
 class TestEnumerateStates:
     def test_frozen_state_count(self):
-        assert len(enumerate_states(10)) == STATE_COUNT_HORIZON_10
+        assert len(enumerate_states(CoinConfig())) == STATE_COUNT_HORIZON_10
 
     def test_horizon_one(self):
-        states = enumerate_states(1)
+        states = enumerate_states(CoinConfig(horizon=1))
         assert TabularState(0, 0, 1) in states
         assert all(s.days_left in (0, 1) for s in states)
 
     def test_counts_bounded_by_elapsed_steps(self):
-        for s in enumerate_states(10):
+        for s in enumerate_states(CoinConfig()):
             assert s.n_success + s.n_fail <= 10 - s.days_left
             assert s.n_success >= 0 and s.n_fail >= 0
 
@@ -46,7 +48,7 @@ class TestBackwardInduction:
         assert self.table.actions[TabularState(0, 0, 1)] == USE
 
     def test_one_day_left_is_max_of_terminate_and_use(self):
-        for state in enumerate_states(10):
+        for state in enumerate_states(CoinConfig()):
             if state.days_left != 1:
                 continue
             psi = belief_psi(ComponentBelief(state.n_success, state.n_fail))
@@ -85,7 +87,7 @@ class TestPolicyValue:
         self.table = backward_induction()
 
     def test_always_terminate(self):
-        policy = {s: TERMINATE for s in enumerate_states(10) if s.days_left > 0}
+        policy = {s: TERMINATE for s in enumerate_states(CoinConfig()) if s.days_left > 0}
         assert policy_value(policy) == 0.0
 
     def test_optimal_policy_consistency(self):
@@ -94,13 +96,13 @@ class TestPolicyValue:
         )
 
     def test_always_use_dominated(self):
-        policy = {s: USE for s in enumerate_states(10) if s.days_left > 0}
+        policy = {s: USE for s in enumerate_states(CoinConfig()) if s.days_left > 0}
         value = policy_value(policy)
         assert value <= self.table.values[TabularState(0, 0, 10)]
 
     def test_random_policies_dominated(self):
         rng = np.random.default_rng(0)
-        states = [s for s in enumerate_states(10) if s.days_left > 0]
+        states = [s for s in enumerate_states(CoinConfig()) if s.days_left > 0]
         vstar = self.table.values[TabularState(0, 0, 10)]
         for _ in range(25):
             policy = {s: int(rng.integers(4)) for s in states}
@@ -110,6 +112,60 @@ class TestPolicyValue:
         with pytest.raises(PolicyUndefinedAtState):
             policy_value({TabularState(0, 0, 10): USE})
 
+    def test_masked_action_raises(self):
+        # the constraint bars Use at the prior belief
+        config = CoinConfig(constrained=True)
+        policy = {s: USE for s in enumerate_states(config) if s.days_left > 0}
+        with pytest.raises(PolicyReturnedMaskedAction):
+            policy_value(policy, config)
+
+
+# probabilities with the 0/1 boundaries drawn often
+probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# for sampling: an outcome rarer than 1 in 20 may never show in a few hundred
+# episodes, and then its share of the exact value lies outside any SE bound
+sampled_probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95))
+
+
+@st.composite
+def coin_configs(draw, probabilities=probabilities):
+    theta_bad, theta_good = draw(
+        st.tuples(probabilities, probabilities).map(sorted).filter(lambda t: t[0] < t[1])
+    )
+    return CoinConfig(
+        horizon=draw(st.integers(1, 5)),
+        theta_bad=theta_bad,
+        theta_good=theta_good,
+        prior_bad=draw(probabilities),
+        constraint_threshold=draw(probabilities),
+        constrained=draw(st.booleans()),
+    )
+
+
+class TestOracleProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(coin_configs())
+    def test_exact_values(self, config):
+        table = backward_induction(config)
+        vstar = table.values[TabularState(0, 0, config.horizon)]
+        assert policy_value(table.actions, config) == vstar
+        states = [s for s in enumerate_states(config) if s.days_left > 0]
+        for action in range(4):
+            if all(component_mask(s.belief, config)[action] for s in states):
+                policy = dict.fromkeys(states, action)
+                assert policy_value(policy, config) <= vstar
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(coin_configs(sampled_probabilities))
+    def test_simulated_mean_within_4_se(self, config):
+        table = backward_induction(config)
+        vstar = table.values[TabularState(0, 0, config.horizon)]
+        n = 400
+        summary = evaluate_policy(ComponentEnv(config), OraclePolicy(table), n, 0)
+        # the slack covers summation order when every episode returns the same
+        slack = 1e-9 * max(1.0, abs(vstar))
+        assert abs(summary.mean - vstar) <= 4.0 * summary.sd / np.sqrt(n) + slack
+
 
 class TestMonteCarloConsistency:
     def test_simulated_oracle_matches_exact_value(self):
@@ -117,7 +173,7 @@ class TestMonteCarloConsistency:
         env = ComponentEnv()
         summary = evaluate_policy(env, OraclePolicy(table), 4000, base_seed=0)
         exact = policy_value(table.actions)
-        assert abs(summary.mean - exact) <= 3.0 * standard_error(summary)
+        assert abs(summary.mean - exact) <= 3.0 * summary.sd / np.sqrt(4000)
 
 
 class TestExport:

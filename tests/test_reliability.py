@@ -42,29 +42,29 @@ def brute_force_pf_stats(state, config, seed, n=1_000_000):
 class TestPfGivenTheta:
     def test_closed_form_value(self):
         cfg = CONFIG
-        beta = np.zeros(cfg.n_basis)
+        beta = np.zeros(cfg.input_dim)
         # with beta = 0 the margin is scaled by sigma_a only
         expected = float(ndtr(-(2.8 + cfg.gamma * 0.5) / cfg.sigma_a))
         assert pf_given_theta(beta, 0.5, 2.8, cfg) == pytest.approx(expected)
 
     def test_monotone_in_margin(self):
         cfg = CONFIG
-        beta = np.full(cfg.n_basis, 0.5)
+        beta = np.full(cfg.input_dim, 0.5)
         low = pf_given_theta(beta, 0.5, 3.5, cfg)
         high = pf_given_theta(beta, 0.5, 1.0, cfg)
         assert high > low
 
     def test_bounds(self):
         cfg = CONFIG
-        pf = pf_given_theta(np.full(cfg.n_basis, 0.5), 0.5, 2.8, cfg)
+        pf = pf_given_theta(np.full(cfg.input_dim, 0.5), 0.5, 2.8, cfg)
         assert 0.0 < pf < 1.0
 
 
 class TestSurrogatePosterior:
     def test_prior_shapes(self):
         prior = SurrogatePosterior.prior(CONFIG)
-        assert len(prior.weight_mean) == CONFIG.n_basis
-        assert prior.cov_array().shape == (CONFIG.n_basis, CONFIG.n_basis)
+        assert len(prior.weight_mean) == CONFIG.input_dim
+        assert prior.cov_array().shape == (CONFIG.input_dim, CONFIG.input_dim)
 
     def test_observation_moves_mean_toward_target(self):
         prior = SurrogatePosterior.prior(CONFIG)
@@ -136,7 +136,7 @@ class TestEstimatePfStats:
         state = fresh_state()
         point = ReliabilityState(
             surrogate=SurrogatePosterior.from_arrays(
-                np.full(CONFIG.n_basis, 0.5), np.zeros((CONFIG.n_basis,) * 2)
+                np.full(CONFIG.input_dim, 0.5), np.zeros((CONFIG.input_dim,) * 2)
             ),
             defect_belief=GaussianBelief(0.5, 0.0),
             discrepancy_belief=GaussianBelief(2.8, 0.0),
@@ -146,7 +146,7 @@ class TestEstimatePfStats:
         mean, sd = estimate_pf_stats(point, CONFIG, 0)
         assert sd == pytest.approx(0.0, abs=1e-15)
         assert mean == pytest.approx(
-            pf_given_theta(np.full(CONFIG.n_basis, 0.5), 0.5, 2.8, CONFIG)
+            pf_given_theta(np.full(CONFIG.input_dim, 0.5), 0.5, 2.8, CONFIG)
         )
 
 
@@ -199,7 +199,7 @@ class TestEnvironment:
         assert state.actions_taken == 0
         assert state.fe_observations == ()
         assert not state.done and state.outcome is None
-        assert len(state.true_beta) == CONFIG.n_basis
+        assert len(state.true_beta) == CONFIG.input_dim
 
     def test_rewards_are_exact_action_costs(self):
         rng = np.random.default_rng(0)
@@ -292,7 +292,7 @@ class TestEnvironment:
     def test_surrogate_spread_hits_zero_after_full_resolution(self):
         state = fresh_state()
         rng = np.random.default_rng(0)
-        for _ in range(CONFIG.n_basis):
+        for _ in range(CONFIG.input_dim):
             state, _, done = self.env.step(state, FE, rng)
             if done:
                 return
@@ -334,5 +334,8 @@ class TestEnvironment:
 
 class TestConfigValidation:
     def test_basis_must_match_input_dimension(self):
-        with pytest.raises(ValueError, match="n_basis"):
-            ReliabilityConfig(n_basis=3)
+        # the basis features are the raw input coordinates
+        x = CONFIG.candidate_pool()[0]
+        assert np.array_equal(basis_features(x, CONFIG), x)
+        with pytest.raises(ValueError, match="dimension"):
+            basis_features(np.zeros(CONFIG.input_dim - 2), CONFIG)
