@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -25,8 +24,8 @@ from .envs.reliability import (
     FAILED, ReliabilityEnv, benchmark_policy_action,
 )
 from .mdp import (
-    EvalSummary, FunctionPolicy, RandomPolicy, episodes_to_csv, evaluate_policy,
-    run_episode, summary_to_json,
+    FunctionPolicy, RandomPolicy, episodes_to_csv, evaluate_policy, run_episode,
+    write_json,
 )
 from .nets import load_checkpoint, save_checkpoint
 from .oracle import OraclePolicy, TabularState, backward_induction, table_to_csv
@@ -132,12 +131,6 @@ def _reliability_summary(rows) -> tuple:
     return len(costs) / len(rows), (float(np.mean(costs)) if costs else None)
 
 
-def _write_json(path, block: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(block, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_eval(args) -> int:
     run_config = config_mod.load_run_config(
         args.config, args.env, seed=args.seed, constrained=args.constrained,
@@ -151,7 +144,7 @@ def cmd_eval(args) -> int:
         rows = _reliability_rows(env, policy, n, args.seed)
         _write_reliability_csv(out / "episodes.csv", rows)
         rate, mean_cost = _reliability_summary(rows)
-        _write_json(out / "summary.json", {
+        write_json(out / "summary.json", {
             "success_rate": rate, "mean_cost_successful": mean_cost, "n_episodes": n,
         })
     else:
@@ -162,7 +155,7 @@ def cmd_eval(args) -> int:
             record_hook=lambda rec: lengths.append(rec.length),
         )
         episodes_to_csv(out / "episodes.csv", args.seed, summary, lengths)
-        summary_to_json(out / "summary.json", summary)
+        write_json(out / "summary.json", summary.to_json_dict())
     config_mod.write_resolved(
         out / "resolved_config.json", run_config,
         extra={"command": "eval", "env": args.env, "episodes": n,
@@ -180,9 +173,9 @@ def cmd_oracle(args) -> int:
     table = backward_induction(run_config.component)
     table_to_csv(out / "oracle_table.csv", table)
     start = TabularState(0, 0, run_config.component.horizon)
-    _write_json(out / "oracle_summary.json", {
+    write_json(out / "oracle_summary.json", {
         "optimal_value": table.values[start],
-        "optimal_first_action": table.actions[start],
+        "optimal_first_action": table.actions.get(start),  # None at horizon 0
         "constrained": run_config.component.constrained,
         "n_states": len(table.values),
     })

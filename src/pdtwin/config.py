@@ -4,11 +4,14 @@ The file is a plain JSON object with optional sections::
 
     {
       "env": {"component": {...}, "reliability": {...}},
-      "train": {...}
+      "train": {...},
+      "run": {...}
     }
 
 Every default that applies is echoed back into the resolved-config file a
-run writes, so a run is reproducible from its output directory alone.
+run writes, so a run is reproducible from its output directory alone: that
+file is itself a valid config file. Its ``run`` block records the command
+that wrote it and is not read.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from pathlib import Path
 from .dqn import TrainConfig
 from .envs.component import CoinConfig
 from .envs.reliability import ReliabilityConfig
+from .mdp import write_json
 
 
 class ConfigError(ValueError):
@@ -115,7 +119,7 @@ def load_run_config(
             raise ConfigError("config file must hold a JSON object")
     env_section = raw.get("env", {})
     for key in raw:
-        if key not in ("env", "train"):
+        if key not in ("env", "train", "run"):
             raise ConfigError(f"unknown top-level section {key!r}")
     for key in env_section:
         if key not in ("component", "reliability"):
@@ -141,6 +145,4 @@ def write_resolved(path, config: RunConfig, extra: dict | None = None) -> None:
     block = config.resolved_dict()
     if extra:
         block["run"] = extra
-    with open(path, "w") as fh:
-        json.dump(block, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, block)

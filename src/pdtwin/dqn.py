@@ -23,6 +23,15 @@ class DivergenceDetected(RuntimeError):
     """Training loss became non-finite."""
 
 
+# smallest legal value of each integer setting of TrainConfig
+_INT_LOWER_BOUNDS = {
+    "episodes": 0, "warmup": 0, "seed": 0, "snapshot_seed_base": 0,
+    "batch_size": 1, "replay_capacity": 1, "train_every": 1, "n_step": 1,
+    "target_sync": 1, "snapshot_episodes": 1, "latent_dim": 1,
+    "snapshot_every": 1, "epsilon_decay_episodes": 1,
+}
+
+
 @dataclass
 class TrainConfig:
     episodes: int = 3000
@@ -60,12 +69,23 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0):
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
-        if self.batch_size < 1 or self.replay_capacity < 1:
-            raise ValueError("batch_size and replay_capacity must be positive")
-        if self.train_every < 1:
-            raise ValueError("train_every must be >= 1")
-        if self.n_step < 1:
-            raise ValueError("n_step must be >= 1")
+        for name, low in _INT_LOWER_BOUNDS.items():
+            value = getattr(self, name)
+            if value is not None and value < low:  # None: the documented default
+                raise ValueError(f"{name} must be >= {low}")
+        hidden = (*self.phi_hidden, *self.rho_hidden)
+        if not all(type(h) is int and h >= 1 for h in hidden):
+            raise ValueError("hidden layer sizes must be integers >= 1")
+        if not (0.0 <= self.discount <= 1.0):
+            raise ValueError("discount must lie in [0, 1]")
+        if not (self.learning_rate > 0.0 and self.reward_scale > 0.0):
+            raise ValueError("learning_rate and reward_scale must be > 0")
+        clip = self.target_clip
+        if clip is not None and not (
+            len(clip) == 2 and all(type(v) in (int, float) for v in clip)
+            and clip[0] < clip[1]
+        ):
+            raise ValueError("target_clip must be None or (low, high) with low < high")
 
     def epsilon_at(self, episode: int) -> float:
         horizon = self.epsilon_decay_episodes or max(1, self.episodes // 2)

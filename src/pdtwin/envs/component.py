@@ -17,10 +17,10 @@ import numpy as np
 
 from ..beliefs import DiscreteEpistemicBelief, epistemic_condition
 from ..mdp import Environment, StateEncoding, StepAfterDone
-from ..nets import canonical_set
 
 TERMINATE, TEST, REPLACE, USE = 0, 1, 2, 3
 ACTION_NAMES = ("terminate", "test", "replace", "use")
+_OUTCOME_ROWS = np.array([[0.0], [1.0]])  # set elements for Y = 0 and Y = 1
 
 
 @dataclass(frozen=True)
@@ -46,40 +46,48 @@ class CoinConfig:
 
 
 @dataclass(frozen=True)
-class ComponentBelief:
-    """Sufficient statistic: outcome counts on the current component."""
+class TabularState:
+    """Observable state: outcome counts on the current component (the belief's
+    sufficient statistic) and the days left. The oracle's table is keyed by it."""
 
     n_success: int
     n_fail: int
+    days_left: int
 
-    def observe(self, y: int) -> "ComponentBelief":
+    def after(self, action: int, y: int | None = None) -> "TabularState":
+        """Successor after Test or Use with outcome ``y``, or after Replace:
+        a day passes, Replace clears the counts, Test and Use count ``y``."""
+        d = self.days_left - 1
+        if action == REPLACE:
+            return TabularState(0, 0, d)
+        if action not in (TEST, USE):
+            raise ValueError(f"no successor state for action {action}")
         if y == 0:
-            return ComponentBelief(self.n_success + 1, self.n_fail)
-        return ComponentBelief(self.n_success, self.n_fail + 1)
+            return TabularState(self.n_success + 1, self.n_fail, d)
+        return TabularState(self.n_success, self.n_fail + 1, d)
 
 
 @dataclass(frozen=True)
 class CoinState:
-    belief: ComponentBelief
-    days_left: int
+    info: TabularState
     hidden_theta: float  # simulator-only; never exposed through encode()
-    observations: tuple = ()  # raw Y sequence on the current component
     done: bool = False
 
 
-def _log_weight(log_prior: float, theta: float, belief: ComponentBelief) -> float:
+def _log_weight(log_prior: float, theta: float, info: TabularState) -> float:
     """log(prior * theta^n_success * (1 - theta)^n_fail) with log 0 = -inf;
     a zero count adds nothing, whatever theta is."""
     weight = log_prior
-    if belief.n_success:
-        weight += belief.n_success * math.log(theta) if theta > 0.0 else -math.inf
-    if belief.n_fail:
-        weight += belief.n_fail * math.log1p(-theta) if theta < 1.0 else -math.inf
+    if info.n_success:
+        weight += info.n_success * math.log(theta) if theta > 0.0 else -math.inf
+    if info.n_fail:
+        weight += info.n_fail * math.log1p(-theta) if theta < 1.0 else -math.inf
     return weight
 
 
-def belief_psi(belief: ComponentBelief, config: CoinConfig = CoinConfig()) -> float:
-    """Posterior probability that the current component is the bad one.
+def belief_psi(info: TabularState, config: CoinConfig = CoinConfig()) -> float:
+    """Posterior probability that the current component is the bad one, given
+    the outcome counts of ``info``.
 
     Computed in log-space so long runs of observations cannot underflow; a
     zero prior or likelihood is log 0 = -inf. Counts that both hypotheses rule
@@ -87,10 +95,10 @@ def belief_psi(belief: ComponentBelief, config: CoinConfig = CoinConfig()) -> fl
     """
     prior = config.prior_bad
     log_bad = _log_weight(
-        math.log(prior) if prior > 0.0 else -math.inf, config.theta_bad, belief
+        math.log(prior) if prior > 0.0 else -math.inf, config.theta_bad, info
     )
     log_good = _log_weight(
-        math.log1p(-prior) if prior < 1.0 else -math.inf, config.theta_good, belief
+        math.log1p(-prior) if prior < 1.0 else -math.inf, config.theta_good, info
     )
     m = max(log_bad, log_good)
     if m == -math.inf:
@@ -131,11 +139,11 @@ def expected_use_reward(psi: float, config: CoinConfig = CoinConfig()) -> float:
     return p0 * config.use_stake - (1.0 - p0) * config.use_stake
 
 
-def component_mask(belief: ComponentBelief, config: CoinConfig) -> np.ndarray:
+def component_mask(info: TabularState, config: CoinConfig) -> np.ndarray:
     """Legal actions given the outcome counts; the constraint bars Use unless
     P(theta_good) exceeds the threshold."""
     mask = np.ones(len(ACTION_NAMES), dtype=bool)
-    if config.constrained and 1.0 - belief_psi(belief, config) <= config.constraint_threshold:
+    if config.constrained and 1.0 - belief_psi(info, config) <= config.constraint_threshold:
         mask[USE] = False
     return mask
 
@@ -143,20 +151,20 @@ def component_mask(belief: ComponentBelief, config: CoinConfig) -> np.ndarray:
 class ComponentEnv(Environment):
     """Belief-state MDP over (component outcome counts, days left).
 
-    ``encoding="set"`` exposes the raw outcome sequence of the current
-    component as the set part with aux = (days_left / N,); ``"compressed"``
-    exposes an empty set with aux = (psi, days_left / N).
+    ``encoding="set"`` exposes the outcomes seen on the current component as
+    the set part (``n_success`` rows of 0.0, then ``n_fail`` rows of 1.0: for
+    binary outcomes the counts are the whole multiset) with
+    aux = (days_left / N,); ``"compressed"`` exposes an empty set with
+    aux = (psi, days_left / N).
     """
 
     action_count = 4
-    action_names = ACTION_NAMES
 
     def __init__(self, config: CoinConfig = CoinConfig(), encoding: str = "compressed"):
         if encoding not in ("set", "compressed"):
             raise ValueError(f"unknown encoding {encoding!r}")
         self.config = config
         self.encoding = encoding
-        self.horizon = config.horizon
         self.element_dim = 1
         self.aux_dim = 1 if encoding == "set" else 2
 
@@ -165,59 +173,37 @@ class ComponentEnv(Environment):
         return self.config.theta_bad if bad else self.config.theta_good
 
     def reset(self, rng) -> CoinState:
-        return CoinState(
-            belief=ComponentBelief(0, 0),
-            days_left=self.config.horizon,
-            hidden_theta=self._draw_theta(rng),
-        )
+        return CoinState(TabularState(0, 0, self.config.horizon), self._draw_theta(rng))
 
     def action_mask(self, state: CoinState) -> np.ndarray:
-        return component_mask(state.belief, self.config)
+        return component_mask(state.info, self.config)
 
     def step(self, state: CoinState, action: int, rng):
         cfg = self.config
-        if state.done or state.days_left <= 0:
+        if state.done or state.info.days_left <= 0:
             raise StepAfterDone(f"episode already ended at {state!r}")
 
         if action == TERMINATE:
-            next_state = CoinState(
-                state.belief, state.days_left, state.hidden_theta,
-                state.observations, done=True,
-            )
-            return next_state, 0.0, True
-
-        days_left = state.days_left - 1
+            return CoinState(state.info, state.hidden_theta, done=True), 0.0, True
+        theta, y = state.hidden_theta, None
         if action == REPLACE:
-            next_state = CoinState(
-                belief=ComponentBelief(0, 0),
-                days_left=days_left,
-                hidden_theta=self._draw_theta(rng),
-                observations=(),
-                done=days_left == 0,
-            )
-            return next_state, cfg.replace_cost, next_state.done
-
-        # Test and Use both flip the current component once and observe Y
-        y = 0 if rng.random() < state.hidden_theta else 1
-        if action == TEST:
-            reward = cfg.test_cost
-        elif action == USE:
-            reward = cfg.use_stake if y == 0 else -cfg.use_stake
+            theta, reward = self._draw_theta(rng), cfg.replace_cost
+        elif action in (TEST, USE):
+            # Test and Use both flip the current component once and observe Y
+            y = 0 if rng.random() < theta else 1
+            stake = cfg.use_stake if y == 0 else -cfg.use_stake
+            reward = cfg.test_cost if action == TEST else stake
         else:
             raise ValueError(f"unknown action {action}")
-        next_state = CoinState(
-            belief=state.belief.observe(y),
-            days_left=days_left,
-            hidden_theta=state.hidden_theta,
-            observations=state.observations + (y,),
-            done=days_left == 0,
-        )
-        return next_state, reward, next_state.done
+        info = state.info.after(action, y)
+        done = info.days_left == 0
+        return CoinState(info, theta, done), reward, done
 
     def encode(self, state: CoinState) -> StateEncoding:
-        frac = state.days_left / self.config.horizon
+        info = state.info
+        frac = info.days_left / self.config.horizon
         if self.encoding == "set":
-            elements = np.reshape(state.observations, (-1, 1))
-            return StateEncoding(canonical_set(elements, 1), np.array([frac]))
-        psi = belief_psi(state.belief, self.config)
-        return StateEncoding(canonical_set((), 1), np.array([psi, frac]))
+            elements = np.repeat(_OUTCOME_ROWS, (info.n_success, info.n_fail), axis=0)
+            return StateEncoding(elements, np.array([frac]))
+        psi = belief_psi(info, self.config)
+        return StateEncoding(np.empty((0, 1)), np.array([psi, frac]))

@@ -26,7 +26,6 @@ from ..mdp import Environment, StateEncoding, StepAfterDone
 from ..nets import canonical_set
 
 MEASUREMENT, FE, LAB = 0, 1, 2
-ACTION_NAMES = ("measurement", "fe", "lab")
 
 CONFIRMED_BELOW = "confirmed_below"
 CONFIRMED_ABOVE = "confirmed_above"
@@ -61,6 +60,24 @@ class ReliabilityConfig:
     # the lab tests that could still confirm it
     failure_penalty: float = -100.0
 
+    def __post_init__(self):
+        for name in ("input_dim", "pool_size", "max_actions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.pool_seed < 0:
+            raise ValueError("pool_seed must be >= 0")
+        if self.n_mc < 2:
+            raise ValueError("n_mc must be >= 2: Std(p_f) needs two draws")
+        for name in ("measurement_noise_var", "lab_noise_var", "fe_noise_var"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("prior_beta_var", "prior_defect_var", "prior_discrepancy_var",
+                     "sigma_a"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
+        if not (0.0 < self.target < 1.0):
+            raise ValueError("target must lie in (0, 1)")
+
     def candidate_pool(self) -> np.ndarray:
         """Fixed design-candidate grid in [-1, 1]^input_dim."""
         rng = np.random.default_rng(self.pool_seed)
@@ -73,6 +90,11 @@ def basis_features(x: np.ndarray, config: ReliabilityConfig) -> np.ndarray:
     if x.shape[-1] != config.input_dim:
         raise ValueError(f"input must have dimension {config.input_dim}")
     return x
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,12 +116,10 @@ class SurrogatePosterior:
 
     @staticmethod
     def from_arrays(mean: np.ndarray, cov: np.ndarray) -> "SurrogatePosterior":
-        mean = np.array(mean, dtype=float)
         cov = np.asarray(cov, dtype=float)
-        cov = 0.5 * (cov + cov.T)
-        mean.flags.writeable = False
-        cov.flags.writeable = False
-        return SurrogatePosterior(mean, cov)
+        return SurrogatePosterior(
+            _read_only(np.array(mean, dtype=float)), _read_only(0.5 * (cov + cov.T))
+        )
 
     @staticmethod
     def prior(config: ReliabilityConfig) -> "SurrogatePosterior":
@@ -129,16 +149,18 @@ class SurrogatePosterior:
         return SurrogatePosterior.from_arrays(new_mean, new_cov)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReliabilityState:
     surrogate: SurrogatePosterior
     defect_belief: GaussianBelief
     discrepancy_belief: GaussianBelief
-    fe_observations: tuple  # tuples of length input_dim + 1: (x, observed y)
+    # read-only (k, input_dim + 1) rows (x, observed y) in canonical order:
+    # the set part of the encoding, as ``nets.canonical_set`` builds it
+    fe_observations: np.ndarray
     actions_taken: int
     crn_seed: int  # fixed per episode: common random numbers for (E, Std)
     # simulator-only ground truth, never exposed through encode()
-    true_beta: tuple
+    true_beta: np.ndarray  # read-only
     true_defect: float
     true_discrepancy: float
     done: bool = False
@@ -179,8 +201,7 @@ def estimate_pf_stats(
 ) -> tuple:
     """(E[p_f], Std(p_f)) over n_mc posterior draws of (beta, d, mu_m)."""
     pf = _pf_samples(state, config, seed)
-    sd = float(pf.std(ddof=1)) if len(pf) > 1 else 0.0
-    return float(pf.mean()), sd
+    return float(pf.mean()), float(pf.std(ddof=1))  # n_mc >= 2
 
 
 def check_objective(mean: float, sd: float, target: float) -> str:
@@ -219,12 +240,10 @@ class ReliabilityEnv(Environment):
     """Belief-state MDP over the three experiment channels."""
 
     action_count = 3
-    action_names = ACTION_NAMES
 
     def __init__(self, config: ReliabilityConfig = ReliabilityConfig()):
         self.config = config
         self.pool = config.candidate_pool()
-        self.horizon = config.max_actions
         self.element_dim = config.input_dim + 1
         self.aux_dim = 8
         self._pool_features = basis_features(self.pool, config)
@@ -248,10 +267,10 @@ class ReliabilityEnv(Environment):
             discrepancy_belief=GaussianBelief(
                 cfg.prior_discrepancy_mean, cfg.prior_discrepancy_var
             ),
-            fe_observations=(),
+            fe_observations=_read_only(np.empty((0, self.element_dim))),
             actions_taken=0,
             crn_seed=int(rng.integers(2**63)),
-            true_beta=tuple(float(b) for b in beta),
+            true_beta=_read_only(beta),
             true_defect=float(d),
             true_discrepancy=float(mu),
         )
@@ -285,13 +304,13 @@ class ReliabilityEnv(Environment):
             x = select_fe_input(state.surrogate, self.pool, cfg)
             phi = basis_features(x, cfg)
             y = float(
-                np.asarray(state.true_beta) @ phi
+                state.true_beta @ phi
                 + np.sqrt(cfg.fe_noise_var) * rng.standard_normal()
             )
+            rows = np.vstack([state.fe_observations, np.append(x, y)])
             changes = {
                 "surrogate": state.surrogate.observe(phi, y, cfg.fe_noise_var),
-                "fe_observations": state.fe_observations
-                + (tuple(float(v) for v in x) + (y,),),
+                "fe_observations": _read_only(canonical_set(rows, self.element_dim)),
             }
             reward = cfg.cost_fe
         else:
@@ -311,6 +330,8 @@ class ReliabilityEnv(Environment):
     def surrogate_spread(self, surrogate: SurrogatePosterior) -> float:
         """Largest remaining predictive sd over the design pool, in [0, 1]
         relative to the prior (the compressed surrogate sufficient statistic)."""
+        if self._prior_surrogate_sd == 0.0:  # a known surrogate stays known
+            return 0.0
         pv = surrogate.predictive_variance(self._pool_features)
         return float(np.sqrt(max(pv.max(), 0.0)) / self._prior_surrogate_sd)
 
@@ -334,7 +355,6 @@ class ReliabilityEnv(Environment):
         return scaled(mean + 2.0 * sd), scaled(mean - 2.0 * sd)
 
     def encode(self, state: ReliabilityState) -> StateEncoding:
-        elements = canonical_set(state.fe_observations, self.element_dim)
         upper, lower = self.objective_margins(state)
         aux = np.array(
             [
@@ -348,4 +368,4 @@ class ReliabilityEnv(Environment):
                 lower,
             ]
         )
-        return StateEncoding(elements, aux)
+        return StateEncoding(state.fe_observations, aux)

@@ -41,10 +41,8 @@ class Environment(abc.ABC):
     """Generative belief-state MDP with a finite action set and horizon."""
 
     action_count: int
-    action_names: tuple
     element_dim: int
     aux_dim: int
-    horizon: int
 
     @abc.abstractmethod
     def reset(self, rng: np.random.Generator):
@@ -201,20 +199,17 @@ def evaluate_policy(
     )
 
 
-def episodes_to_csv(path, base_seed: int, summary: EvalSummary, lengths: Sequence[int] | None = None):
-    """One row per episode: seed, return, length (length blank if unknown)."""
+def episodes_to_csv(path, base_seed: int, summary: EvalSummary, lengths: Sequence[int]):
+    """One row per episode: seed, return, length."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "return", "length"])
         for i, ret in enumerate(summary.returns):
-            length = "" if lengths is None else lengths[i]
-            writer.writerow([base_seed + i, repr(ret), length])
+            writer.writerow([base_seed + i, repr(ret), lengths[i]])
 
 
-def summary_to_json(path, summary: EvalSummary, extra: dict | None = None):
-    block = summary.to_json_dict()
-    if extra:
-        block.update(extra)
+def write_json(path, block: dict) -> None:
+    """The JSON files every command writes: sorted keys, indent 2, newline."""
     with open(path, "w") as fh:
         json.dump(block, fh, indent=2, sort_keys=True)
         fh.write("\n")

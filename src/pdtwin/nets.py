@@ -115,9 +115,6 @@ class DeepSetsNet:
                 params[f"{name}.b{i}"] = mlp.biases[i]
         return params
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters().values())
-
     def copy(self) -> "DeepSetsNet":
         clone = DeepSetsNet(
             self.element_dim, self.aux_dim, self.output_dim,

@@ -1,10 +1,11 @@
 """Exact backward induction for the component game.
 
-The tabular state is the observable triple (n_success, n_fail, days_left).
-Transitions integrate the hidden component type out through the posterior
-psi, so the induction runs on the belief-marginal kernel: flipping the
-current component yields Y = 0 with probability psi * theta_bad +
-(1 - psi) * theta_good. Ties between equally good actions break toward the
+The tabular state is the game's observable state, ``TabularState``
+(n_success, n_fail, days_left), and its successors come from
+``TabularState.after``, the rule the simulator steps with. Transitions
+integrate the hidden component type out through the posterior psi, so the
+induction runs on the belief-marginal kernel: flipping the current component
+yields Y = 0 with probability psi * theta_bad + (1 - psi) * theta_good. Ties between equally good actions break toward the
 lowest action index, which makes the optimal policy unique.
 """
 
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .envs.component import (
-    REPLACE, TERMINATE, TEST, USE,
-    CoinConfig, CoinState, ComponentBelief,
+    REPLACE, TERMINATE, TEST,
+    CoinConfig, CoinState, TabularState,
     belief_psi, component_mask, expected_use_reward, success_probability,
 )
 from .mdp import Policy, PolicyReturnedMaskedAction
@@ -24,17 +25,6 @@ from .mdp import Policy, PolicyReturnedMaskedAction
 
 class PolicyUndefinedAtState(KeyError):
     """policy_value hit a reachable state the policy does not cover."""
-
-
-@dataclass(frozen=True)
-class TabularState:
-    n_success: int
-    n_fail: int
-    days_left: int
-
-    @property
-    def belief(self) -> ComponentBelief:
-        return ComponentBelief(self.n_success, self.n_fail)
 
 
 def q_backup(
@@ -47,22 +37,19 @@ def q_backup(
     reward plus the expected ``value_of`` the successor."""
     if action == TERMINATE:
         return 0.0
-    d = state.days_left - 1
     if action == REPLACE:
-        return config.replace_cost + value_of(TabularState(0, 0, d))
-    if action not in (TEST, USE):
-        raise ValueError(f"unknown action {action}")
-    psi = belief_psi(state.belief, config)
+        return config.replace_cost + value_of(state.after(REPLACE))
+    psi = belief_psi(state, config)
     p0 = success_probability(psi, config)
     reward = config.test_cost if action == TEST else expected_use_reward(psi, config)
     return reward + (
-        p0 * value_of(TabularState(state.n_success + 1, state.n_fail, d))
-        + (1.0 - p0) * value_of(TabularState(state.n_success, state.n_fail + 1, d))
+        p0 * value_of(state.after(action, 0))
+        + (1.0 - p0) * value_of(state.after(action, 1))
     )
 
 
 def _legal_actions(state: TabularState, config: CoinConfig) -> list:
-    mask = component_mask(state.belief, config)
+    mask = component_mask(state, config)
     return [action for action, legal in enumerate(mask) if legal]
 
 
@@ -123,7 +110,7 @@ def policy_value(policy_map: dict, config: CoinConfig = CoinConfig()) -> float:
             if state not in policy_map:
                 raise PolicyUndefinedAtState(state)
             action = policy_map[state]
-            if not component_mask(state.belief, config)[action]:
+            if not component_mask(state, config)[action]:
                 raise PolicyReturnedMaskedAction(
                     f"action {action} is masked in state {state!r}"
                 )
@@ -140,10 +127,7 @@ class OraclePolicy(Policy):
         self.table = table
 
     def act(self, state: CoinState, mask, rng) -> int:
-        key = TabularState(
-            state.belief.n_success, state.belief.n_fail, state.days_left
-        )
-        return self.table.actions[key]
+        return self.table.actions[state.info]
 
 
 def table_to_csv(path, table: ValueTable) -> None:

@@ -16,7 +16,7 @@ from pdtwin.cli import main as cli_main
 from pdtwin.config import load_run_config
 from pdtwin.dqn import train
 from pdtwin.envs.component import (
-    USE, CoinConfig, ComponentBelief, ComponentEnv, belief_from_observations,
+    USE, CoinConfig, ComponentEnv, belief_from_observations,
     belief_psi, expected_use_reward,
 )
 from pdtwin.envs.reliability import (
@@ -94,7 +94,7 @@ def test_criterion_1_epistemic_conditioning():
     worst = 0.0
     for n_success in range(11):
         for n_fail in range(11 - n_success):
-            batch = belief_psi(ComponentBelief(n_success, n_fail))
+            batch = belief_psi(TabularState(n_success, n_fail, 0))
             obs = (0,) * n_success + (1,) * n_fail
             sequential = belief_from_observations(obs).weights[0]
             permuted = belief_from_observations(obs[::-1]).weights[0]
@@ -177,7 +177,7 @@ def test_criterion_6_constraint_enforcement(oracle_table, constrained_table):
     for i in range(n):
         rec = run_episode(constrained_env, policy, FAILURE_SEED_BASE + i)
         for t in rec.transitions:
-            if t.action == USE and 1.0 - belief_psi(t.state.belief) <= 0.9:
+            if t.action == USE and 1.0 - belief_psi(t.state.info) <= 0.9:
                 violations += 1
         constrained_failures += use_failures(rec) > 0
     unconstrained_failures = sum(
@@ -211,7 +211,8 @@ def test_criterion_7_deep_sets_invariance_and_gradients():
 
     small = DeepSetsNet(2, 1, 2, seed=3, phi_hidden=(4,), latent_dim=3,
                         rho_hidden=(5,))
-    assert small.parameter_count() <= 200
+    n_params = sum(p.size for p in small.parameters().values())
+    assert n_params <= 200
     elements = [rng.standard_normal(2) for _ in range(4)]
     aux = rng.standard_normal(1)
     upstream = rng.standard_normal(2)
@@ -234,7 +235,7 @@ def test_criterion_7_deep_sets_invariance_and_gradients():
     report(
         7, invariant and worst < 1e-4,
         f"bit-exact invariance over 1000 sets; gradient check "
-        f"max rel err {worst:.2e} on {small.parameter_count()} params",
+        f"max rel err {worst:.2e} on {n_params} params",
     )
 
 

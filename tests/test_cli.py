@@ -104,6 +104,7 @@ class TestOracle:
         ({"prior_bad": 0.0}, 9_800_000.0),  # ten uses of a 0.99 component
         ({"prior_bad": 1.0}, 0.0),  # a fair bet is worth nothing
         ({"theta_bad": 0.0, "theta_good": 1.0, "prior_bad": 1.0}, 0.0),
+        ({"horizon": 0}, 0.0),
     ])
     def test_degenerate_configs(self, tmp_path, component, optimal_value):
         cfg = tmp_path / "c.json"
@@ -113,6 +114,9 @@ class TestOracle:
             assert run(["oracle", *flags, "--config", str(cfg), "--out", str(out)]) == 0
             summary = json.loads((out / "oracle_summary.json").read_text())
             assert summary["optimal_value"] == pytest.approx(optimal_value, abs=1e-6)
+            # at horizon 0 the start state is terminal and has no action
+            terminal = component.get("horizon") == 0
+            assert (summary["optimal_first_action"] is None) == terminal
 
 
 class TestCompare:
@@ -149,6 +153,13 @@ class TestReproducibility:
         a = train_tiny(tmp_path, name="a", episodes=25)
         b = train_tiny(tmp_path, name="b", episodes=25)
         assert (a / "curve.csv").read_bytes() == (b / "curve.csv").read_bytes()
+
+    def test_rerun_from_resolved_config_byte_identical(self, tmp_path):
+        a = train_tiny(tmp_path, name="a", episodes=12)
+        b = train_tiny(tmp_path, name="b", episodes=12,
+                       extra=("--config", str(a / "resolved_config.json")))
+        for name in ("curve.csv", "checkpoint.npz"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_eval_rerun_byte_identical_csv(self, tmp_path):
         out = train_tiny(tmp_path)

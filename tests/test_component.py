@@ -5,11 +5,13 @@ from hypothesis import given, strategies as st
 from pdtwin.beliefs import AllZeroLikelihood, epistemic_condition
 from pdtwin.envs.component import (
     REPLACE, TERMINATE, TEST, USE,
-    CoinConfig, CoinState, ComponentBelief, ComponentEnv,
-    belief_from_observations, belief_psi, expected_use_reward,
+    CoinConfig, CoinState, ComponentEnv, TabularState,
+    belief_from_observations, belief_psi, component_mask, expected_use_reward,
     success_probability,
 )
 from pdtwin.mdp import FunctionPolicy, StepAfterDone, run_episode
+from pdtwin.nets import canonical_set
+from pdtwin.oracle import enumerate_states, q_backup
 
 
 class FixedRng:
@@ -22,26 +24,26 @@ class FixedRng:
         return self.values.pop(0)
 
 
-def make_state(n_success, n_fail, days_left, theta=0.5, observations=None):
-    obs = observations
-    if obs is None:
-        obs = (0,) * n_success + (1,) * n_fail
-    return CoinState(
-        ComponentBelief(n_success, n_fail), days_left, theta, observations=obs
-    )
+def make_state(n_success, n_fail, days_left, theta=0.5):
+    return CoinState(TabularState(n_success, n_fail, days_left), theta)
+
+
+def counts(n_success, n_fail):
+    """Observable state with these counts; days_left does not enter the belief."""
+    return TabularState(n_success, n_fail, 0)
 
 
 class TestBeliefPsi:
     def test_prior(self):
-        assert belief_psi(ComponentBelief(0, 0)) == 0.5
+        assert belief_psi(counts(0, 0)) == 0.5
 
     def test_one_success(self):
-        assert belief_psi(ComponentBelief(1, 0)) == pytest.approx(
+        assert belief_psi(counts(1, 0)) == pytest.approx(
             0.25 / 0.745, abs=1e-12
         )
 
     def test_one_failure(self):
-        assert belief_psi(ComponentBelief(0, 1)) == pytest.approx(
+        assert belief_psi(counts(0, 1)) == pytest.approx(
             0.25 / 0.255, abs=1e-12
         )
 
@@ -50,7 +52,7 @@ class TestBeliefPsi:
         for n_success in range(11):
             for n_fail in range(11 - n_success):
                 belief = belief_from_observations((0,) * n_success + (1,) * n_fail)
-                assert belief_psi(ComponentBelief(n_success, n_fail)) == pytest.approx(
+                assert belief_psi(counts(n_success, n_fail)) == pytest.approx(
                     belief.weights[0], abs=1e-12
                 )
 
@@ -59,12 +61,12 @@ class TestBeliefPsi:
         n_success = obs.count(0)
         n_fail = obs.count(1)
         sequential = belief_from_observations(obs)
-        assert belief_psi(ComponentBelief(n_success, n_fail)) == pytest.approx(
+        assert belief_psi(counts(n_success, n_fail)) == pytest.approx(
             sequential.weights[0], abs=1e-12
         )
 
     def test_no_underflow_for_long_runs(self):
-        psi = belief_psi(ComponentBelief(0, 1000))
+        psi = belief_psi(counts(0, 1000))
         assert 0.0 <= psi <= 1.0
 
     @pytest.mark.parametrize("config", [
@@ -78,7 +80,7 @@ class TestBeliefPsi:
         # zero priors and likelihoods; counts no hypothesis explains keep the prior
         for n_success in range(4):
             for n_fail in range(4):
-                psi = belief_psi(ComponentBelief(n_success, n_fail), config)
+                psi = belief_psi(counts(n_success, n_fail), config)
                 try:
                     belief = belief_from_observations(
                         (0,) * n_success + (1,) * n_fail, config)
@@ -127,38 +129,35 @@ class TestCoinStep:
         state = make_state(0, 0, 10)
         nxt, reward, done = self.env.step(state, TERMINATE, FixedRng())
         assert (reward, done) == (0.0, True)
-        assert nxt.days_left == 10
+        assert nxt.info == TabularState(0, 0, 10)
 
     def test_test_success(self):
         state = make_state(0, 0, 10)
         nxt, reward, done = self.env.step(state, TEST, FixedRng(0.2))  # 0.2 < 0.5
         assert reward == -10_000.0
-        assert (nxt.belief.n_success, nxt.belief.n_fail) == (1, 0)
-        assert nxt.days_left == 9 and not done
+        assert nxt.info == TabularState(1, 0, 9) and not done
 
     def test_test_failure(self):
         state = make_state(0, 0, 10)
         nxt, reward, _ = self.env.step(state, TEST, FixedRng(0.9))
-        assert (nxt.belief.n_success, nxt.belief.n_fail) == (0, 1)
+        assert nxt.info == TabularState(0, 1, 9)
         assert reward == -10_000.0
 
     def test_replace_resets_belief(self):
         state = make_state(3, 0, 5, theta=0.99)
         nxt, reward, done = self.env.step(state, REPLACE, FixedRng(0.3))
         assert reward == -100_000.0
-        assert (nxt.belief.n_success, nxt.belief.n_fail) == (0, 0)
-        assert nxt.observations == ()
-        assert nxt.days_left == 4 and not done
+        assert nxt.info == TabularState(0, 0, 4) and not done
         assert nxt.hidden_theta == 0.5  # 0.3 < prior_bad draws the bad one
 
     def test_use_win_and_lose(self):
         state = make_state(0, 0, 10)
         nxt, reward, _ = self.env.step(state, USE, FixedRng(0.1))
         assert reward == 1_000_000.0
-        assert nxt.belief.n_success == 1
+        assert nxt.info == TabularState(1, 0, 9)
         nxt, reward, _ = self.env.step(state, USE, FixedRng(0.99))
         assert reward == -1_000_000.0
-        assert nxt.belief.n_fail == 1
+        assert nxt.info == TabularState(0, 1, 9)
 
     def test_last_day_ends_episode(self):
         state = make_state(0, 0, 1)
@@ -169,6 +168,28 @@ class TestCoinStep:
         state = make_state(0, 0, 0)
         with pytest.raises(StepAfterDone):
             self.env.step(state, TEST, FixedRng(0.1))
+
+
+class TestSuccessorRule:
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_simulator_reaches_the_states_the_backup_looks_up(self, constrained):
+        config = CoinConfig(constrained=constrained)
+        env = ComponentEnv(config)
+        for info in enumerate_states(config):
+            if info.days_left == 0:
+                continue
+            for action in np.flatnonzero(component_mask(info, config)):
+                looked_up = set()
+                q_backup(info, action, lambda s: looked_up.add(s) or 0.0, config)
+                reached = set()
+                # u = 0 forces Y = 0, u = 1 forces Y = 1 (Replace draws the type)
+                for u in (0.0, 1.0):
+                    nxt, _, done = env.step(CoinState(info, 0.5), action, FixedRng(u))
+                    if action == TERMINATE:
+                        assert done and nxt.info == info
+                    else:
+                        reached.add(nxt.info)
+                assert reached == looked_up, (info, action)
 
 
 class TestActionMask:
@@ -186,7 +207,7 @@ class TestActionMask:
         env = ComponentEnv(CoinConfig(constrained=True))
         # smallest success streak with P(theta good) > 0.9
         n = 0
-        while 1.0 - belief_psi(ComponentBelief(n, 0)) <= 0.9:
+        while 1.0 - belief_psi(counts(n, 0)) <= 0.9:
             n += 1
         assert env.action_mask(make_state(n, 0, 5))[USE]
         assert not env.action_mask(make_state(n - 1, 0, 5))[USE]
@@ -209,7 +230,7 @@ class TestEpisodeInvariants:
             rec = run_episode(env, _random_policy(), seed)
             for t in rec.transitions:
                 if t.action == USE:
-                    psi = belief_psi(t.state.belief)
+                    psi = belief_psi(t.state.info)
                     assert 1.0 - psi > threshold
 
     def test_terminate_policy_returns_zero(self):
@@ -228,7 +249,7 @@ def _random_policy():
 class TestEncodings:
     def test_set_encoding_sorted_observations(self):
         env = ComponentEnv(encoding="set")
-        state = make_state(1, 2, 7, observations=(1, 0, 1))
+        state = make_state(1, 2, 7)
         enc = env.encode(state)
         assert [e[0] for e in enc.elements] == [0.0, 1.0, 1.0]
         assert enc.aux == pytest.approx([0.7])
@@ -241,12 +262,15 @@ class TestEncodings:
 
     @given(st.lists(st.integers(0, 1), max_size=10))
     def test_encodings_are_canonical_float_arrays(self, obs):
-        state = make_state(obs.count(0), obs.count(1), 10 - len(obs),
-                           observations=tuple(obs))
-        for encoding, rows in (("set", sorted(obs)), ("compressed", [])):
+        # the set built from the counts is the canonical set of the outcomes
+        state = make_state(obs.count(0), obs.count(1), 10 - len(obs))
+        for encoding, rows in (("set", obs), ("compressed", [])):
             elements = ComponentEnv(encoding=encoding).encode(state).elements
-            assert elements.dtype == np.float64
-            assert np.array_equal(elements, np.reshape(rows, (-1, 1)))
+            expected = canonical_set(np.reshape(rows, (-1, 1)), 1)
+            assert elements.dtype == expected.dtype == np.float64
+            assert elements.shape == expected.shape
+            assert elements.tobytes() == expected.tobytes()
+            assert np.array_equal(elements, np.reshape(sorted(rows), (-1, 1)))
 
     def test_success_probability_prior(self):
         assert success_probability(0.5) == pytest.approx(0.745)

@@ -91,6 +91,31 @@ class TestValidation:
         ("reliability", {"n_basis": 3}),  # a removed setting is an unknown key
         ("train", {"epsilon_start": 0.1, "epsilon_end": 0.5}),
         ("component", {"theta_bad": 1.5}),
+        ("reliability", {"input_dim": 0}),
+        ("reliability", {"pool_size": 0}),
+        ("reliability", {"max_actions": 0}),
+        ("reliability", {"pool_seed": -1}),
+        ("reliability", {"n_mc": 0}),
+        ("reliability", {"n_mc": 1}),
+        ("reliability", {"lab_noise_var": 0}),
+        ("reliability", {"fe_noise_var": -1e-6}),
+        ("reliability", {"prior_beta_var": -1}),
+        ("reliability", {"sigma_a": -0.5}),
+        ("reliability", {"target": 0}),
+        ("reliability", {"target": 1}),
+        ("train", {"target_sync": 0}),
+        ("train", {"snapshot_every": 0}),
+        ("train", {"snapshot_episodes": 0}),
+        ("train", {"latent_dim": 0}),
+        ("train", {"epsilon_decay_episodes": 0}),
+        ("train", {"seed": -1}),
+        ("train", {"discount": 2}),
+        ("train", {"learning_rate": -1}),
+        ("train", {"reward_scale": 0}),
+        ("train", {"phi_hidden": [0]}),
+        ("train", {"rho_hidden": ["a"]}),
+        ("train", {"target_clip": [1]}),
+        ("train", {"target_clip": [1, -1]}),
     ])
     def test_rejects_bad_values(self, tmp_path, section, values):
         raw = {"train": values} if section == "train" else {"env": {section: values}}

@@ -16,10 +16,8 @@ class BanditEnv(Environment):
     """One-step environment: action 1 pays 1, everything else pays 0."""
 
     action_count = 3
-    action_names = ("a", "b", "c")
     element_dim = 1
     aux_dim = 1
-    horizon = 1
 
     def reset(self, rng):
         return 0

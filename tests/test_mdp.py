@@ -9,7 +9,7 @@ from pdtwin.mdp import (
     Environment, EpisodeRecord, FunctionPolicy,
     PolicyReturnedMaskedAction, RandomPolicy, StateEncoding,
     episodes_to_csv, evaluate_policy, run_episode,
-    summary_to_json,
+    write_json,
 )
 
 
@@ -17,10 +17,8 @@ class TwoStepEnv(Environment):
     """Minimal deterministic environment: two steps, rewards 1 then 2."""
 
     action_count = 2
-    action_names = ("a", "b")
     element_dim = 1
     aux_dim = 1
-    horizon = 2
 
     def __init__(self, mask_second_action=False):
         self.mask_second_action = mask_second_action
@@ -135,10 +133,12 @@ class TestExports:
     def test_json_summary(self, tmp_path):
         summary = evaluate_policy(TwoStepEnv(), FunctionPolicy(lambda s: 0), 3, 0)
         path = tmp_path / "summary.json"
-        summary_to_json(path, summary, extra={"policy": "fixed"})
-        block = json.loads(path.read_text())
+        write_json(path, summary.to_json_dict())
+        text = path.read_text()
+        block = json.loads(text)
         assert block["mean"] == summary.mean
-        assert block["policy"] == "fixed"
+        assert block["n_episodes"] == 3
+        assert text == json.dumps(block, indent=2, sort_keys=True) + "\n"
 
 
 class TestFunctionPolicy:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdtwin.envs.component import (
-    TERMINATE, USE, CoinConfig, ComponentEnv, belief_psi, ComponentBelief,
-    component_mask,
+    TERMINATE, USE, CoinConfig, ComponentEnv, belief_psi, component_mask,
 )
 from pdtwin.mdp import PolicyReturnedMaskedAction, evaluate_policy
 from pdtwin.oracle import (
@@ -51,7 +50,7 @@ class TestBackwardInduction:
         for state in enumerate_states(CoinConfig()):
             if state.days_left != 1:
                 continue
-            psi = belief_psi(ComponentBelief(state.n_success, state.n_fail))
+            psi = belief_psi(state)
             expected = max(0.0, (1.0 - psi) * 980_000.0)
             # (2 p - 1) * 1e6 vs (1 - psi) * 980000: same value up to
             # floating-point cancellation near psi = 1
@@ -74,7 +73,7 @@ class TestBackwardInduction:
         by_day = {}
         for state, value in self.table.values.items():
             if state.days_left > 0:
-                psi = belief_psi(ComponentBelief(state.n_success, state.n_fail))
+                psi = belief_psi(state)
                 by_day.setdefault(state.days_left, []).append((psi, value))
         for pairs in by_day.values():
             pairs.sort()
@@ -151,7 +150,7 @@ class TestOracleProperties:
         assert policy_value(table.actions, config) == vstar
         states = [s for s in enumerate_states(config) if s.days_left > 0]
         for action in range(4):
-            if all(component_mask(s.belief, config)[action] for s in states):
+            if all(component_mask(s, config)[action] for s in states):
                 policy = dict.fromkeys(states, action)
                 assert policy_value(policy, config) <= vstar
 

@@ -140,7 +140,8 @@ class TestEstimatePfStats:
             ),
             defect_belief=GaussianBelief(0.5, 0.0),
             discrepancy_belief=GaussianBelief(2.8, 0.0),
-            fe_observations=(), actions_taken=0, crn_seed=0,
+            fe_observations=np.empty((0, CONFIG.input_dim + 1)),
+            actions_taken=0, crn_seed=0,
             true_beta=state.true_beta, true_defect=0.5, true_discrepancy=2.8,
         )
         mean, sd = estimate_pf_stats(point, CONFIG, 0)
@@ -197,9 +198,11 @@ class TestEnvironment:
     def test_reset_fields(self):
         state = fresh_state(seed=5)
         assert state.actions_taken == 0
-        assert state.fe_observations == ()
+        assert state.fe_observations.shape == (0, CONFIG.input_dim + 1)
         assert not state.done and state.outcome is None
-        assert len(state.true_beta) == CONFIG.input_dim
+        assert state.true_beta.shape == (CONFIG.input_dim,)
+        for arr in (state.fe_observations, state.true_beta):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
 
     def test_rewards_are_exact_action_costs(self):
         rng = np.random.default_rng(0)
@@ -218,8 +221,8 @@ class TestEnvironment:
     def test_fe_appends_observation(self):
         state = fresh_state()
         nxt, _, _ = self.env.step(state, FE, np.random.default_rng(0))
-        assert len(nxt.fe_observations) == 1
-        assert len(nxt.fe_observations[0]) == CONFIG.input_dim + 1
+        assert nxt.fe_observations.shape == (1, CONFIG.input_dim + 1)
+        assert not nxt.fe_observations.flags.writeable
 
     def test_step_after_done(self):
         from dataclasses import replace
@@ -317,10 +320,13 @@ class TestEnvironment:
         assert any(len(s.fe_observations) > 1 for s in states)
         for state in states:
             elements = self.env.encode(state).elements
-            assert elements.dtype == np.float64
-            # rows in lexicographic order: the order Python sorts tuples in
-            expected = np.array(sorted(state.fe_observations)).reshape(-1, dim)
-            assert np.array_equal(elements, expected)
+            # the encoding passes the state's own read-only array through
+            assert elements is state.fe_observations
+            assert elements.dtype == np.float64 and not elements.flags.writeable
+            assert elements.shape == (len(elements), dim)
+            # rows in lexicographic order, first coordinate primary
+            order = np.lexsort(elements.T[::-1])
+            assert np.array_equal(order, np.arange(len(elements)))
 
     def test_pf_stats_stored_once_per_state(self):
         rec = run_episode(self.env, RandomPolicy(), seed=5)
@@ -333,6 +339,13 @@ class TestEnvironment:
 
 
 class TestConfigValidation:
+    def test_known_surrogate_has_zero_spread(self):
+        env = ReliabilityEnv(ReliabilityConfig(prior_beta_var=0.0))
+        state = env.reset(np.random.default_rng(0))
+        state, _, _ = env.step(state, FE, np.random.default_rng(1))
+        aux = env.encode(state).aux
+        assert np.isfinite(aux).all() and aux[5] == 0.0
+
     def test_basis_must_match_input_dimension(self):
         # the basis features are the raw input coordinates
         x = CONFIG.candidate_pool()[0]
