@@ -31,7 +31,6 @@ from .nets import load_checkpoint, save_checkpoint
 from .oracle import OraclePolicy, TabularState, backward_induction, table_to_csv
 
 OUT_DIR_ENV_VAR = "PDTWIN_OUT"
-COMPONENT_HIST_RANGE = (-1e7, 1e7)  # return bounds: 10 uses at +-1M each
 
 
 class MissingCheckpoint(FileNotFoundError):
@@ -53,6 +52,15 @@ def _make_env(args, run_config):
     if args.env == "component":
         return ComponentEnv(run_config.component, encoding=args.encoding)
     return ReliabilityEnv(run_config.reliability)
+
+
+def _component_hist_range(config) -> tuple:
+    """Bounds on any component-game return: each day moves it by at most the
+    largest of the stake and the two costs."""
+    bound = config.horizon * max(
+        abs(config.use_stake), abs(config.replace_cost), abs(config.test_cost)
+    )
+    return -bound, bound
 
 
 def _load_policy(path, env, args) -> QPolicy:
@@ -148,13 +156,11 @@ def cmd_eval(args) -> int:
             "success_rate": rate, "mean_cost_successful": mean_cost, "n_episodes": n,
         })
     else:
-        lengths = []
         summary = evaluate_policy(
             env, policy, n, args.seed,
-            bin_range=COMPONENT_HIST_RANGE,
-            record_hook=lambda rec: lengths.append(rec.length),
+            bin_range=_component_hist_range(run_config.component),
         )
-        episodes_to_csv(out / "episodes.csv", args.seed, summary, lengths)
+        episodes_to_csv(out / "episodes.csv", args.seed, summary)
         write_json(out / "summary.json", summary.to_json_dict())
     config_mod.write_resolved(
         out / "resolved_config.json", run_config,
@@ -217,12 +223,11 @@ def _compare_component(args, run_config, out) -> None:
         policies.append((label, _load_policy(path, use_env, args), use_env))
 
     n = args.episodes or 1000
+    bin_range = _component_hist_range(run_config.component)
     table_rows = []
     hist_columns = {}
     for name, policy, use_env in policies:
-        summary = evaluate_policy(
-            use_env, policy, n, args.seed, bin_range=COMPONENT_HIST_RANGE
-        )
+        summary = evaluate_policy(use_env, policy, n, args.seed, bin_range=bin_range)
         table_rows.append(
             [name, repr(summary.mean), repr(summary.sd),
              repr(summary.min), repr(summary.max)]

@@ -2,7 +2,8 @@
 
 Epsilon-greedy exploration with action masking, a uniform experience-replay
 ring, a periodically synchronized target network, and squared-error
-regression onto TD targets. Fully deterministic given the training seed.
+regression onto one-step TD targets. Fully deterministic given the training
+seed.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ class NoLegalAction(RuntimeError):
 
 
 class DivergenceDetected(RuntimeError):
-    """Training loss became non-finite."""
+    """Training loss or Q values became non-finite."""
 
 
 # smallest legal value of each integer setting of TrainConfig
 _INT_LOWER_BOUNDS = {
     "episodes": 0, "warmup": 0, "seed": 0, "snapshot_seed_base": 0,
-    "batch_size": 1, "replay_capacity": 1, "train_every": 1, "n_step": 1,
+    "batch_size": 1, "replay_capacity": 1, "train_every": 1,
     "target_sync": 1, "snapshot_episodes": 1, "latent_dim": 1,
     "snapshot_every": 1, "epsilon_decay_episodes": 1,
 }
@@ -45,16 +46,9 @@ class TrainConfig:
     replay_capacity: int = 50_000
     warmup: int = 500  # transitions collected before learning starts
     train_every: int = 1  # environment steps between gradient updates
-    # TD targets bootstrap after this many accumulated rewards; n > 1
-    # propagates delayed costs (e.g. budget-exhaustion penalties) through
-    # long action chains far faster than one-step backups
-    n_step: int = 1
     seed: int = 0
     reward_scale: float = 1.0  # rewards divided by this inside the learner
     double_dqn: bool = False
-    # known bounds on the scaled return; TD targets are clipped into this
-    # range when set, which stops bootstrapped overestimation feedback
-    target_clip: tuple | None = None
     # when set, the greedy policy is scored on a fixed validation seed block
     # every snapshot_every episodes (and once at the end) and the best
     # snapshot is returned instead of the final network; guards against
@@ -80,12 +74,6 @@ class TrainConfig:
             raise ValueError("discount must lie in [0, 1]")
         if not (self.learning_rate > 0.0 and self.reward_scale > 0.0):
             raise ValueError("learning_rate and reward_scale must be > 0")
-        clip = self.target_clip
-        if clip is not None and not (
-            len(clip) == 2 and all(type(v) in (int, float) for v in clip)
-            and clip[0] < clip[1]
-        ):
-            raise ValueError("target_clip must be None or (low, high) with low < high")
 
     def epsilon_at(self, episode: int) -> float:
         horizon = self.epsilon_decay_episodes or max(1, self.episodes // 2)
@@ -170,48 +158,10 @@ class TrainResult:
 class _Stored:
     encoding: StateEncoding
     action: int
-    reward: float  # n-step return, already divided by reward_scale
+    reward: float  # already divided by reward_scale
     next_encoding: StateEncoding
-    bootstrap: float  # discount**n, or 0.0 when the episode ended inside the window
+    done: bool
     next_mask: np.ndarray
-
-
-class NStepAccumulator:
-    """Turns a stream of one-step transitions into n-step replay items.
-
-    Each emitted item pairs a (state, action) with the discounted sum of the
-    next n rewards and the state reached n steps later; items cut short by
-    episode termination carry the exact remaining return and do not bootstrap.
-    """
-
-    def __init__(self, n_step: int, discount: float):
-        self.n_step = n_step
-        self.discount = discount
-        self._pending = []  # (encoding, action, scaled reward) triples
-
-    def push(self, encoding, action, reward, next_encoding, next_mask, done):
-        emitted = []
-        self._pending.append((encoding, action, reward))
-        if done:
-            ret = 0.0
-            for enc_k, action_k, reward_k in reversed(self._pending):
-                ret = reward_k + self.discount * ret
-                emitted.append(
-                    _Stored(enc_k, action_k, ret, next_encoding, 0.0, next_mask)
-                )
-            self._pending.clear()
-        elif len(self._pending) == self.n_step:
-            ret = 0.0
-            for k in range(self.n_step - 1, -1, -1):
-                ret = self._pending[k][2] + self.discount * ret
-            first = self._pending.pop(0)
-            emitted.append(
-                _Stored(
-                    first[0], first[1], ret, next_encoding,
-                    self.discount**self.n_step, next_mask,
-                )
-            )
-        return emitted
 
 
 def train(env: Environment, config: TrainConfig) -> TrainResult:
@@ -240,19 +190,21 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
         env_rng = np.random.default_rng([config.seed, 1, episode])
         state = env.reset(env_rng)
         ep_return = 0.0
-        done = False
-        accumulator = NStepAccumulator(config.n_step, config.discount)
+        done = env.done(state)
         enc, mask = env.encode(state), env.action_mask(state)
         while not done:
             q = net.forward(enc.elements, enc.aux)
+            if not np.isfinite(q).all():
+                raise DivergenceDetected(
+                    f"non-finite Q values at episode {episode}, step {global_step + 1}"
+                )
             action = epsilon_greedy(q, mask, epsilon, train_rng)
             state, reward, done = env.step(state, action, env_rng)
             ep_return += reward
             next_enc, next_mask = env.encode(state), env.action_mask(state)
-            for item in accumulator.push(
-                enc, action, reward / config.reward_scale, next_enc, next_mask, done,
-            ):
-                buffer.push(item)
+            buffer.push(_Stored(
+                enc, action, reward / config.reward_scale, next_enc, done, next_mask,
+            ))
             enc, mask = next_enc, next_mask
             global_step += 1
 
@@ -260,9 +212,7 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
                 len(buffer) >= max(config.warmup, config.batch_size)
                 and global_step % config.train_every == 0
             ):
-                loss = _learn_step(
-                    net, target, optimizer, buffer, config, train_rng
-                )
+                loss = _update(net, target, optimizer, buffer, config, train_rng)
                 if not np.isfinite(loss):
                     raise DivergenceDetected(
                         f"non-finite loss at episode {episode}, step {global_step}"
@@ -276,9 +226,8 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
         result.episode_epsilons.append(epsilon)
         result.loss_moving_average.append(loss_ma if have_loss else float("nan"))
 
-        if (
-            config.snapshot_every is not None
-            and (episode + 1) % config.snapshot_every == 0
+        if config.snapshot_every is not None and (
+            (episode + 1) % config.snapshot_every == 0 or episode + 1 == config.episodes
         ):
             score = _validation_score(env, net, config)
             result.snapshot_scores.append((episode + 1, score))
@@ -286,15 +235,8 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
                 best_score = score
                 best_params = {k: v.copy() for k, v in net.parameters().items()}
 
-    if config.snapshot_every is not None:
-        if not result.snapshot_scores or result.snapshot_scores[-1][0] != config.episodes:
-            score = _validation_score(env, net, config)
-            result.snapshot_scores.append((config.episodes, score))
-            if score > best_score:
-                best_score = score
-                best_params = None  # the live network is already the best
-        if best_params is not None:
-            net.load_parameters(best_params)
+    if best_params is not None:
+        net.load_parameters(best_params)
 
     return result
 
@@ -308,7 +250,7 @@ def _validation_score(env, net, config) -> float:
     return total / config.snapshot_episodes
 
 
-def _learn_step(net, target, optimizer, buffer, config, rng) -> float:
+def _update(net, target, optimizer, buffer, config, rng) -> float:
     batch = buffer.sample(config.batch_size, rng)
     next_encs = [(t.next_encoding.elements, t.next_encoding.aux) for t in batch]
     target_q, _ = target.forward_batch(next_encs)
@@ -318,12 +260,9 @@ def _learn_step(net, target, optimizer, buffer, config, rng) -> float:
         online_q, _ = net.forward_batch(next_encs)
         best = np.argmax(np.where(next_mask, online_q, -np.inf), axis=1)
         next_mask = np.arange(net.output_dim) == best[:, None]
-    bootstrap = np.array([t.bootstrap for t in batch])
+    dones = np.array([t.done for t in batch])
     rewards = np.array([t.reward for t in batch])
-    targets = td_target(rewards, bootstrap == 0.0, target_q, next_mask, bootstrap)
-    if config.target_clip is not None:
-        low, high = config.target_clip
-        np.clip(targets, low, high, out=targets)
+    targets = td_target(rewards, dones, target_q, next_mask, config.discount)
 
     encs = [(t.encoding.elements, t.encoding.aux) for t in batch]
     q, cache = net.forward_batch(encs)

@@ -155,7 +155,8 @@ class ComponentEnv(Environment):
     the set part (``n_success`` rows of 0.0, then ``n_fail`` rows of 1.0: for
     binary outcomes the counts are the whole multiset) with
     aux = (days_left / N,); ``"compressed"`` exposes an empty set with
-    aux = (psi, days_left / N).
+    aux = (psi, days_left / N). At N = 0 the start state is done and
+    days_left / N reads 0.0.
     """
 
     action_count = 4
@@ -173,7 +174,8 @@ class ComponentEnv(Environment):
         return self.config.theta_bad if bad else self.config.theta_good
 
     def reset(self, rng) -> CoinState:
-        return CoinState(TabularState(0, 0, self.config.horizon), self._draw_theta(rng))
+        horizon = self.config.horizon
+        return CoinState(TabularState(0, 0, horizon), self._draw_theta(rng), horizon == 0)
 
     def action_mask(self, state: CoinState) -> np.ndarray:
         return component_mask(state.info, self.config)
@@ -201,7 +203,7 @@ class ComponentEnv(Environment):
 
     def encode(self, state: CoinState) -> StateEncoding:
         info = state.info
-        frac = info.days_left / self.config.horizon
+        frac = info.days_left / max(self.config.horizon, 1)
         if self.encoding == "set":
             elements = np.repeat(_OUTCOME_ROWS, (info.n_success, info.n_fail), axis=0)
             return StateEncoding(elements, np.array([frac]))

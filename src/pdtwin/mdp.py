@@ -12,7 +12,7 @@ import abc
 import csv
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -38,7 +38,13 @@ class StateEncoding:
 
 
 class Environment(abc.ABC):
-    """Generative belief-state MDP with a finite action set and horizon."""
+    """Generative belief-state MDP with a finite action set and horizon.
+
+    A state has a boolean ``done``. ``reset`` returns a state that is already
+    done when the episode has no step to take (a horizon of 0): that episode
+    has length 0 and return 0.0, and nothing steps it or asks a policy for an
+    action. ``encode`` and ``action_mask`` accept every state, a done one too.
+    """
 
     action_count: int
     element_dim: int
@@ -51,6 +57,10 @@ class Environment(abc.ABC):
     @abc.abstractmethod
     def step(self, state, action: int, rng: np.random.Generator):
         """Advance one step; returns (next_state, reward, done)."""
+
+    def done(self, state) -> bool:
+        """Whether the episode has ended at ``state``."""
+        return state.done
 
     @abc.abstractmethod
     def action_mask(self, state) -> np.ndarray:
@@ -118,6 +128,7 @@ class EvalSummary:
     bin_edges: tuple
     bin_counts: tuple
     returns: tuple
+    lengths: tuple
 
     def to_json_dict(self) -> dict:
         return {
@@ -142,7 +153,7 @@ def run_episode(
     transitions = []
     total = 0.0
     factor = 1.0
-    done = False
+    done = env.done(state)
     while not done:
         mask = env.action_mask(state)
         action = policy.act(state, mask, rng)
@@ -166,22 +177,19 @@ def evaluate_policy(
     discount: float = 1.0,
     n_bins: int = 50,
     bin_range: tuple | None = None,
-    record_hook: Callable[[EpisodeRecord], None] | None = None,
 ) -> EvalSummary:
-    """Run ``n_episodes`` seeded episodes and summarize the returns.
+    """Run ``n_episodes`` seeded episodes and summarize the returns and lengths.
 
     Episode i uses seed ``base_seed + i``. With a single episode the sd is
-    reported as 0. ``record_hook`` receives every EpisodeRecord, in order, for
-    callers that need more than return statistics.
+    reported as 0.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    returns = []
+    returns, lengths = [], []
     for i in range(n_episodes):
         rec = run_episode(env, policy, base_seed + i, discount)
-        if record_hook is not None:
-            record_hook(rec)
         returns.append(rec.total_return)
+        lengths.append(rec.length)
     arr = np.asarray(returns)
     sd = float(arr.std(ddof=1)) if n_episodes > 1 else 0.0
     lo, hi = (float(arr.min()), float(arr.max())) if bin_range is None else bin_range
@@ -196,16 +204,17 @@ def evaluate_policy(
         bin_edges=tuple(float(e) for e in edges),
         bin_counts=tuple(int(c) for c in counts),
         returns=tuple(float(r) for r in returns),
+        lengths=tuple(lengths),
     )
 
 
-def episodes_to_csv(path, base_seed: int, summary: EvalSummary, lengths: Sequence[int]):
+def episodes_to_csv(path, base_seed: int, summary: EvalSummary):
     """One row per episode: seed, return, length."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "return", "length"])
-        for i, ret in enumerate(summary.returns):
-            writer.writerow([base_seed + i, repr(ret), lengths[i]])
+        for i, (ret, length) in enumerate(zip(summary.returns, summary.lengths)):
+            writer.writerow([base_seed + i, repr(ret), length])
 
 
 def write_json(path, block: dict) -> None:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -146,6 +147,56 @@ class TestCompare:
         assert names == ["random", "benchmark"]
         assert (cmp_out / "episodes_random.csv").exists()
         assert (cmp_out / "episodes_benchmark.csv").exists()
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def component_config(tmp_path, **values):
+    path = tmp_path / "component.json"
+    path.write_text(json.dumps({"env": {"component": values}}))
+    return str(path)
+
+
+class TestHorizonZero:
+    """At horizon 0 the start state is already done: every episode is empty."""
+
+    @pytest.mark.parametrize("encoding", ["compressed", "set"])
+    def test_train_eval_compare(self, tmp_path, encoding):
+        config = component_config(tmp_path, horizon=0)
+        flags = ["--env", "component", "--encoding", encoding, "--config", config]
+        out = train_tiny(tmp_path, episodes=5, extra=flags[2:])
+        assert [r["return"] for r in read_csv(out / "curve.csv")] == ["0.0"] * 5
+        checkpoint = str(out / "checkpoint.npz")
+
+        eval_out = tmp_path / "eval"
+        assert run(["eval", *flags, "--episodes", "4", "--checkpoint", checkpoint,
+                    "--out", str(eval_out)]) == 0
+        rows = read_csv(eval_out / "episodes.csv")
+        assert [(r["return"], r["length"]) for r in rows] == [("0.0", "0")] * 4
+        summary = json.loads((eval_out / "summary.json").read_text())
+        assert summary["mean"] == 0.0 and sum(summary["bin_counts"]) == 4
+
+        cmp_out = tmp_path / "cmp"
+        assert run(["compare", *flags, "--episodes", "4", "--checkpoint", checkpoint,
+                    "--out", str(cmp_out)]) == 0
+        table = read_csv(cmp_out / "compare_table.csv")
+        assert [r["policy"] for r in table] == ["random", "oracle", "dqn_unconstrained"]
+        assert all(r[k] == "0.0" for r in table for k in ("mean", "sd", "min", "max"))
+
+
+class TestHistogramRange:
+    def test_every_return_is_counted_at_horizon_20(self, tmp_path):
+        cmp_out = tmp_path / "cmp"
+        assert run(["compare", "--env", "component", "--episodes", "400",
+                    "--config", component_config(tmp_path, horizon=20),
+                    "--out", str(cmp_out)]) == 0
+        rows = read_csv(cmp_out / "compare_histogram.csv")
+        assert float(rows[0]["bin_left"]) == -2e7 and float(rows[-1]["bin_right"]) == 2e7
+        for name in ("random", "oracle"):
+            assert sum(int(r[name]) for r in rows) == 400
 
 
 class TestReproducibility:

@@ -239,6 +239,15 @@ class TestEpisodeInvariants:
         assert rec.total_return == 0.0
         assert rec.length == 1
 
+    @pytest.mark.parametrize("encoding", ["compressed", "set"])
+    def test_horizon_zero_episode_is_empty(self, encoding):
+        env = ComponentEnv(CoinConfig(horizon=0), encoding=encoding)
+        state = env.reset(np.random.default_rng(0))
+        assert state.done and env.done(state)
+        assert env.encode(state).aux[-1] == 0.0
+        rec = run_episode(env, FunctionPolicy(lambda s: 1 / 0), seed=5)
+        assert rec.length == 0 and rec.total_return == 0.0
+
 
 def _random_policy():
     from pdtwin.mdp import RandomPolicy

@@ -114,8 +114,8 @@ class TestValidation:
         ("train", {"reward_scale": 0}),
         ("train", {"phi_hidden": [0]}),
         ("train", {"rho_hidden": ["a"]}),
-        ("train", {"target_clip": [1]}),
-        ("train", {"target_clip": [1, -1]}),
+        ("train", {"n_step": 3}),  # removed settings are unknown keys
+        ("train", {"target_clip": [0, 1]}),
     ])
     def test_rejects_bad_values(self, tmp_path, section, values):
         raw = {"train": values} if section == "train" else {"env": {section: values}}
@@ -127,9 +127,11 @@ class TestValidation:
     def test_accepts_int_for_float_and_null_for_optional(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(
-            {"train": {"learning_rate": 1, "target_clip": None, "snapshot_every": 7}}))
+            {"train": {"learning_rate": 1, "epsilon_decay_episodes": None,
+                       "snapshot_every": 7}}))
         cfg = load_run_config(str(path), "reliability")
         assert cfg.train.learning_rate == 1 and cfg.train.snapshot_every == 7
+        assert cfg.train.epsilon_decay_episodes is None
 
     def test_every_field_annotation_is_checkable(self):
         from pdtwin.config import _TYPES, CoinConfig, ReliabilityConfig, TrainConfig

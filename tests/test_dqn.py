@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdtwin.dqn import (
-    DivergenceDetected, NoLegalAction, NStepAccumulator, QPolicy, ReplayBuffer,
+    DivergenceDetected, NoLegalAction, QPolicy, ReplayBuffer,
     TrainConfig, epsilon_greedy, td_target, train,
 )
 from pdtwin.envs.component import ComponentEnv
@@ -24,6 +24,9 @@ class BanditEnv(Environment):
 
     def step(self, state, action, rng):
         return 1, 1.0 if action == 1 else 0.0, True
+
+    def done(self, state):
+        return state == 1
 
     def action_mask(self, state):
         return np.ones(3, dtype=bool)
@@ -119,72 +122,27 @@ class TestTdTarget:
         rng = np.random.default_rng(23)
         n, actions = 200, 4
         rewards = rng.standard_normal(n)
-        bootstrap = np.where(rng.random(n) < 0.3, 0.0, rng.choice([0.5, 0.9, 1.0], n))
+        dones = rng.random(n) < 0.3
+        discount = 0.9
         target_q = rng.standard_normal((n, actions))
         online_q = rng.standard_normal((n, actions))
         mask = rng.random((n, actions)) < 0.6
         mask[np.arange(n), rng.integers(actions, size=n)] = True
         expected = np.empty(n)
         for i in range(n):  # reference: one transition at a time
-            if bootstrap[i] == 0.0:
+            if dones[i]:
                 expected[i] = rewards[i]
             elif double:
                 best = int(np.argmax(np.where(mask[i], online_q[i], -np.inf)))
-                expected[i] = rewards[i] + bootstrap[i] * target_q[i][best]
+                expected[i] = rewards[i] + discount * target_q[i][best]
             else:
                 expected[i] = td_target(
-                    rewards[i], False, target_q[i], mask[i], bootstrap[i])
+                    rewards[i], False, target_q[i], mask[i], discount)
         if double:
             best = np.argmax(np.where(mask, online_q, -np.inf), axis=1)
             mask = np.arange(actions) == best[:, None]
-        batched = td_target(rewards, bootstrap == 0.0, target_q, mask, bootstrap)
+        batched = td_target(rewards, dones, target_q, mask, discount)
         assert np.array_equal(batched, expected)
-
-
-class TestNStepAccumulator:
-    """Feed the reward stream 1,2,3,4,5 (episode of five steps, discount 0.5)
-    and check every emitted replay item against hand-computed returns."""
-
-    def run_episode(self, n_step, discount=0.5):
-        acc = NStepAccumulator(n_step, discount)
-        emitted = []
-        for t in range(5):
-            emitted += acc.push(f"s{t}", t % 3, float(t + 1),
-                                f"s{t + 1}", None, done=(t == 4))
-        return emitted
-
-    def test_one_step_passthrough(self):
-        items = self.run_episode(n_step=1)
-        assert [(i.encoding, i.reward, i.bootstrap) for i in items] == [
-            ("s0", 1.0, 0.5), ("s1", 2.0, 0.5), ("s2", 3.0, 0.5),
-            ("s3", 4.0, 0.5), ("s4", 5.0, 0.0),
-        ]
-
-    def test_three_step_returns_and_bootstraps(self):
-        items = self.run_episode(n_step=3)
-        # windowed: 1 + .5*2 + .25*3, then 2 + .5*3 + .25*4; the final three
-        # are exact suffix returns emitted at termination, newest first
-        expected = [
-            ("s0", 1 + 1.0 + 0.75, 0.125, "s3"),
-            ("s1", 2 + 1.5 + 1.0, 0.125, "s4"),
-            ("s4", 5.0, 0.0, "s5"),
-            ("s3", 4 + 2.5, 0.0, "s5"),
-            ("s2", 3 + 2.0 + 1.25, 0.0, "s5"),
-        ]
-        got = [(i.encoding, i.reward, i.bootstrap, i.next_encoding)
-               for i in items]
-        assert got == [(s, pytest.approx(r), b, nxt) for s, r, b, nxt in expected]
-
-    def test_window_longer_than_episode_yields_suffix_returns(self):
-        items = self.run_episode(n_step=10, discount=1.0)
-        assert all(i.bootstrap == 0.0 for i in items)
-        assert sorted(i.reward for i in items) == [5.0, 9.0, 12.0, 14.0, 15.0]
-
-    def test_pending_clears_between_episodes(self):
-        acc = NStepAccumulator(3, 1.0)
-        acc.push("a", 0, 1.0, "b", None, done=True)
-        items = acc.push("c", 0, 7.0, "d", None, done=True)
-        assert len(items) == 1 and items[0].reward == 7.0
 
 
 class TestTraining:
@@ -220,13 +178,6 @@ class TestTraining:
         result = train(BanditEnv(), cfg)
         assert int(np.argmax(result.policy.q_values(0))) == 1
 
-    def test_multistep_targets_also_learn(self):
-        cfg = TrainConfig(episodes=300, warmup=32, batch_size=16, n_step=4)
-        result = train(BanditEnv(), cfg)
-        q = result.policy.q_values(0)
-        assert int(np.argmax(q)) == 1
-        assert q[1] == pytest.approx(1.0, abs=0.05)
-
     def test_snapshot_selection_records_scores(self):
         cfg = TrainConfig(
             episodes=100, warmup=16, batch_size=8,
@@ -248,6 +199,21 @@ class TestTraining:
         for name, arr in a.policy.net.parameters().items():
             assert np.array_equal(arr, b.policy.net.parameters()[name])
 
+    def test_final_snapshot_taken_once_and_best_returned(self):
+        cfg = TrainConfig(
+            episodes=60, warmup=16, batch_size=8,
+            snapshot_every=25, snapshot_episodes=5, seed=3,
+        )
+        result = train(BanditEnv(), cfg)
+        assert [ep for ep, _ in result.snapshot_scores] == [25, 50, 60]
+        returned = evaluate_policy(BanditEnv(), result.policy, 5, cfg.snapshot_seed_base)
+        assert returned.mean == max(score for _, score in result.snapshot_scores)
+
+    def test_no_episodes_no_snapshot(self):
+        cfg = TrainConfig(episodes=0, snapshot_every=5)
+        result = train(BanditEnv(), cfg)
+        assert result.snapshot_scores == [] and result.episode_returns == []
+
     def test_divergence_detection(self):
         class NanEnv(BanditEnv):
             def step(self, state, action, rng):
@@ -256,6 +222,32 @@ class TestTraining:
         cfg = TrainConfig(episodes=50, warmup=8, batch_size=8)
         with pytest.raises(DivergenceDetected):
             train(NanEnv(), cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_q_values_are_divergence(self):
+        # warmup exceeds the run, so no loss is ever computed
+        class InfAuxEnv(BanditEnv):
+            def encode(self, state):
+                return StateEncoding((), np.array([np.inf]))
+
+        cfg = TrainConfig(episodes=5, warmup=100, batch_size=8)
+        with pytest.raises(DivergenceDetected, match="episode 0, step 1"):
+            train(InfAuxEnv(), cfg)
+
+    def test_start_state_already_done(self):
+        # a zero-step episode: nothing is stepped, stored or learned
+        class DoneAtResetEnv(BanditEnv):
+            def reset(self, rng):
+                return 1
+
+            def step(self, state, action, rng):
+                raise AssertionError("a done state was stepped")
+
+        cfg = TrainConfig(episodes=4, warmup=0, batch_size=1, snapshot_every=2)
+        result = train(DoneAtResetEnv(), cfg)
+        assert result.episode_returns == [0.0] * 4
+        assert all(np.isnan(v) for v in result.loss_moving_average)
+        assert result.snapshot_scores == [(2, 0.0), (4, 0.0)]
 
 
 class TestQPolicy:

@@ -29,6 +29,9 @@ class TwoStepEnv(Environment):
     def step(self, state, action, rng):
         return state + 1, float(state + 1), state + 1 >= 2
 
+    def done(self, state):
+        return state >= 2
+
     def action_mask(self, state):
         mask = np.ones(2, dtype=bool)
         if self.mask_second_action:
@@ -117,17 +120,16 @@ class TestEvaluatePolicy:
 class TestExports:
     def test_csv_round_trip(self, tmp_path):
         env = ComponentEnv()
-        lengths = []
-        summary = evaluate_policy(
-            env, RandomPolicy(), 10, 3,
-            record_hook=lambda rec: lengths.append(rec.length),
-        )
+        summary = evaluate_policy(env, RandomPolicy(), 10, 3)
         path = tmp_path / "episodes.csv"
-        episodes_to_csv(path, 3, summary, lengths)
+        episodes_to_csv(path, 3, summary)
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 10
         assert [float(r["return"]) for r in rows] == list(summary.returns)
+        assert [int(r["length"]) for r in rows] == [
+            run_episode(env, RandomPolicy(), 3 + i).length for i in range(10)
+        ]
         assert rows[0]["seed"] == "3"
 
     def test_json_summary(self, tmp_path):
