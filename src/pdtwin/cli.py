@@ -146,7 +146,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     env = _make_env(args, run_config)
     policy = _load_policy(args.checkpoint, env, args)
-    n = args.episodes or 1000
+    n = args.episodes
 
     if args.env == "reliability":
         rows = _reliability_rows(env, policy, n, args.seed)
@@ -293,6 +293,13 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _episode_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdtwin",
@@ -300,25 +307,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_env=True):
+    def common(p, needs_env=True, episodes=None, episodes_type=int,
+               episodes_help=None):
         if needs_env:
             p.add_argument("--env", choices=("component", "reliability"),
                            required=True)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--episodes", type=int, default=None)
+        p.add_argument("--episodes", type=episodes_type, default=episodes,
+                       help=episodes_help)
         p.add_argument("--out", default="out",
                        help=f"output directory (or ${OUT_DIR_ENV_VAR})")
         p.add_argument("--constrained", action="store_true")
         p.add_argument("--encoding", choices=("compressed", "set"),
-                       default="compressed")
+                       default="compressed",
+                       help="component state encoding (reliability has one)")
 
     p_train = sub.add_parser("train", help="train a DQN policy")
-    common(p_train)
+    common(p_train, episodes_help="training episodes (default: the config's "
+                                  "train.episodes, 3000 component, 5000 reliability)")
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint greedily")
-    common(p_eval)
+    common(p_eval, episodes=1000, episodes_type=_episode_count,
+           episodes_help="episodes, >= 1 (default: %(default)s)")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.set_defaults(fn=cmd_eval)
 
@@ -327,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(fn=cmd_oracle)
 
     p_compare = sub.add_parser("compare", help="compare policies side by side")
-    common(p_compare)
+    common(p_compare, episodes_type=_episode_count,
+           episodes_help="episodes per policy, >= 1 (default: 1000 component, "
+                         "200 reliability)")
     p_compare.add_argument("--checkpoint", action="append", default=None,
                            help="may be given twice for component "
                                 "(unconstrained then constrained)")
@@ -339,6 +353,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "env", None) == "reliability" and args.encoding == "set":
+            parser.error("--encoding set needs --env component")
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mdp import Environment, Policy, StateEncoding, run_episode
-from .nets import Adam, DeepSetsNet
+from .nets import Adam, DeepSetsNet, SetBatch
 
 
 class NoLegalAction(RuntimeError):
@@ -82,27 +82,45 @@ class TrainConfig:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform batch sampling."""
+    """Fixed-capacity ring of transitions with uniform batch sampling.
 
-    def __init__(self, capacity: int):
+    Row i of the arrays and entry i of the two set lists hold transition i;
+    the sets are references to the environment's read-only arrays.
+    """
+
+    def __init__(self, capacity: int, aux_dim: int, action_count: int):
         self.capacity = capacity
-        self._items = []
+        self.aux = np.empty((capacity, aux_dim))
+        self.next_aux = np.empty((capacity, aux_dim))
+        self.action = np.empty(capacity, dtype=np.int64)
+        self.reward = np.empty(capacity)  # already divided by reward_scale
+        self.done = np.empty(capacity, dtype=bool)
+        self.next_mask = np.empty((capacity, action_count), dtype=bool)
+        self.sets = []
+        self.next_sets = []
         self._cursor = 0
 
-    def push(self, item) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(item)
+    def push(self, enc: StateEncoding, action: int, reward: float,
+             next_enc: StateEncoding, done: bool, next_mask: np.ndarray) -> None:
+        i = self._cursor
+        if len(self.sets) < self.capacity:
+            self.sets.append(enc.elements)
+            self.next_sets.append(next_enc.elements)
         else:
-            self._items[self._cursor] = item
-        self._cursor = (self._cursor + 1) % self.capacity
+            self.sets[i] = enc.elements
+            self.next_sets[i] = next_enc.elements
+        self.aux[i], self.next_aux[i] = enc.aux, next_enc.aux
+        self.action[i], self.reward[i], self.done[i] = action, reward, done
+        self.next_mask[i] = next_mask
+        self._cursor = (i + 1) % self.capacity
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
-        n = len(self._items)
-        idx = rng.choice(n, size=min(batch_size, n), replace=False)
-        return [self._items[i] for i in idx]
+    def sample(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+        """Indices of a uniform batch, drawn without replacement."""
+        n = len(self.sets)
+        return rng.choice(n, size=min(batch_size, n), replace=False)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.sets)
 
 
 def epsilon_greedy(
@@ -154,16 +172,6 @@ class TrainResult:
     snapshot_scores: list = field(default_factory=list)  # (episode, mean return)
 
 
-@dataclass(frozen=True)
-class _Stored:
-    encoding: StateEncoding
-    action: int
-    reward: float  # already divided by reward_scale
-    next_encoding: StateEncoding
-    done: bool
-    next_mask: np.ndarray
-
-
 def train(env: Environment, config: TrainConfig) -> TrainResult:
     """Run DQN training on ``env``; returns the greedy policy and learning curve."""
     net = DeepSetsNet(
@@ -174,8 +182,8 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
         rho_hidden=config.rho_hidden,
     )
     target = net.copy()
-    optimizer = Adam(learning_rate=config.learning_rate)
-    buffer = ReplayBuffer(config.replay_capacity)
+    optimizer = Adam(net.flat.size, learning_rate=config.learning_rate)
+    buffer = ReplayBuffer(config.replay_capacity, env.aux_dim, env.action_count)
     train_rng = np.random.default_rng([config.seed, 0x7E57])
 
     result = TrainResult(policy=QPolicy(net, env))
@@ -183,7 +191,7 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
     have_loss = False
     global_step = 0
     best_score = -np.inf
-    best_params = None
+    best_params = None  # flat parameter vector of the best snapshot
 
     for episode in range(config.episodes):
         epsilon = config.epsilon_at(episode)
@@ -202,9 +210,9 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
             state, reward, done = env.step(state, action, env_rng)
             ep_return += reward
             next_enc, next_mask = env.encode(state), env.action_mask(state)
-            buffer.push(_Stored(
+            buffer.push(
                 enc, action, reward / config.reward_scale, next_enc, done, next_mask,
-            ))
+            )
             enc, mask = next_enc, next_mask
             global_step += 1
 
@@ -220,7 +228,7 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
                 loss_ma = loss if not have_loss else 0.99 * loss_ma + 0.01 * loss
                 have_loss = True
             if global_step % config.target_sync == 0:
-                target.load_parameters(net.parameters())
+                target.flat[...] = net.flat
 
         result.episode_returns.append(ep_return)
         result.episode_epsilons.append(epsilon)
@@ -233,10 +241,10 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
             result.snapshot_scores.append((episode + 1, score))
             if score > best_score:
                 best_score = score
-                best_params = {k: v.copy() for k, v in net.parameters().items()}
+                best_params = net.flat.copy()
 
     if best_params is not None:
-        net.load_parameters(best_params)
+        net.flat[...] = best_params
 
     return result
 
@@ -251,27 +259,27 @@ def _validation_score(env, net, config) -> float:
 
 
 def _update(net, target, optimizer, buffer, config, rng) -> float:
-    batch = buffer.sample(config.batch_size, rng)
-    next_encs = [(t.next_encoding.elements, t.next_encoding.aux) for t in batch]
-    target_q, _ = target.forward_batch(next_encs)
-    next_mask = np.array([t.next_mask for t in batch])
+    idx = buffer.sample(config.batch_size, rng)
+    rows = idx.tolist()
+    next_batch = SetBatch([buffer.next_sets[i] for i in rows], buffer.next_aux[idx])
+    target_q, _ = target.forward_batch(next_batch)
+    next_mask = buffer.next_mask[idx]
     if config.double_dqn:
         # the online network picks the action, the target network values it
-        online_q, _ = net.forward_batch(next_encs)
+        online_q, _ = net.forward_batch(next_batch)
         best = np.argmax(np.where(next_mask, online_q, -np.inf), axis=1)
         next_mask = np.arange(net.output_dim) == best[:, None]
-    dones = np.array([t.done for t in batch])
-    rewards = np.array([t.reward for t in batch])
-    targets = td_target(rewards, dones, target_q, next_mask, config.discount)
+    targets = td_target(
+        buffer.reward[idx], buffer.done[idx], target_q, next_mask, config.discount
+    )
 
-    encs = [(t.encoding.elements, t.encoding.aux) for t in batch]
-    q, cache = net.forward_batch(encs)
-    actions = np.array([t.action for t in batch])
-    taken = q[np.arange(len(batch)), actions]
+    batch = SetBatch([buffer.sets[i] for i in rows], buffer.aux[idx])
+    q, cache = net.forward_batch(batch)
+    actions = buffer.action[idx]
+    taken = q[np.arange(len(idx)), actions]
     err = taken - targets
     loss = float(np.mean(err**2))
     d_q = np.zeros_like(q)
-    d_q[np.arange(len(batch)), actions] = 2.0 * err / len(batch)
-    grads = net.backward_batch(cache, d_q)
-    optimizer.step(net.parameters(), grads)
+    d_q[np.arange(len(idx)), actions] = 2.0 * err / len(idx)
+    optimizer.step(net.flat, net.backward_batch(cache, d_q))
     return loss

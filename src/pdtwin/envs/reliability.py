@@ -167,6 +167,9 @@ class ReliabilityState:
     outcome: str | None = None  # CONFIRMED_* or FAILED once done
     # (E[p_f], Std(p_f)) under this state's beliefs; reset and step set it
     pf_stats: tuple | None = None
+    # read-only predictive variance of the surrogate at every design
+    # candidate; reset and FE steps set it next to the surrogate
+    pool_variance: np.ndarray | None = None
 
 
 def pf_given_theta(
@@ -215,14 +218,12 @@ def check_objective(mean: float, sd: float, target: float) -> str:
     return UNDECIDED
 
 
-def select_fe_input(
-    surrogate: SurrogatePosterior, pool: np.ndarray, config: ReliabilityConfig
-) -> np.ndarray:
-    """Myopic design choice: the candidate with maximal predictive variance."""
+def select_fe_input(pool: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """Myopic design choice: the candidate with maximal predictive variance,
+    given the surrogate's predictive variance at every candidate."""
     pool = np.atleast_2d(pool)
     if len(pool) == 0:
         raise ValueError("candidate pool must be non-empty")
-    variances = surrogate.predictive_variance(basis_features(pool, config))
     return pool[int(np.argmax(variances))]  # argmax ties break to lowest index
 
 
@@ -247,10 +248,11 @@ class ReliabilityEnv(Environment):
         self.element_dim = config.input_dim + 1
         self.aux_dim = 8
         self._pool_features = basis_features(self.pool, config)
-        prior_pv = SurrogatePosterior.prior(config).predictive_variance(
-            self._pool_features
-        )
-        self._prior_surrogate_sd = float(np.sqrt(prior_pv.max()))
+        self._prior_pool_variance = self._pool_variance(SurrogatePosterior.prior(config))
+        self._prior_surrogate_sd = float(np.sqrt(self._prior_pool_variance.max()))
+
+    def _pool_variance(self, surrogate: SurrogatePosterior) -> np.ndarray:
+        return _read_only(surrogate.predictive_variance(self._pool_features))
 
     def reset(self, rng) -> ReliabilityState:
         cfg = self.config
@@ -273,6 +275,7 @@ class ReliabilityEnv(Environment):
             true_beta=_read_only(beta),
             true_defect=float(d),
             true_discrepancy=float(mu),
+            pool_variance=self._prior_pool_variance,
         )
         return replace(state, pf_stats=estimate_pf_stats(state, cfg, state.crn_seed))
 
@@ -301,15 +304,17 @@ class ReliabilityEnv(Environment):
             )}
             reward = cfg.cost_lab
         elif action == FE:
-            x = select_fe_input(state.surrogate, self.pool, cfg)
+            x = select_fe_input(self.pool, state.pool_variance)
             phi = basis_features(x, cfg)
             y = float(
                 state.true_beta @ phi
                 + np.sqrt(cfg.fe_noise_var) * rng.standard_normal()
             )
             rows = np.vstack([state.fe_observations, np.append(x, y)])
+            surrogate = state.surrogate.observe(phi, y, cfg.fe_noise_var)
             changes = {
-                "surrogate": state.surrogate.observe(phi, y, cfg.fe_noise_var),
+                "surrogate": surrogate,
+                "pool_variance": self._pool_variance(surrogate),
                 "fe_observations": _read_only(canonical_set(rows, self.element_dim)),
             }
             reward = cfg.cost_fe
@@ -327,12 +332,12 @@ class ReliabilityEnv(Environment):
         )
         return new_state, reward, done
 
-    def surrogate_spread(self, surrogate: SurrogatePosterior) -> float:
+    def surrogate_spread(self, state: ReliabilityState) -> float:
         """Largest remaining predictive sd over the design pool, in [0, 1]
         relative to the prior (the compressed surrogate sufficient statistic)."""
         if self._prior_surrogate_sd == 0.0:  # a known surrogate stays known
             return 0.0
-        pv = surrogate.predictive_variance(self._pool_features)
+        pv = state.pool_variance
         return float(np.sqrt(max(pv.max(), 0.0)) / self._prior_surrogate_sd)
 
     def objective_margins(self, state: ReliabilityState) -> tuple:
@@ -363,7 +368,7 @@ class ReliabilityEnv(Environment):
                 state.discrepancy_belief.mean,
                 state.discrepancy_belief.sd,
                 state.actions_taken / self.config.max_actions,
-                self.surrogate_spread(state.surrogate),
+                self.surrogate_spread(state),
                 upper,
                 lower,
             ]

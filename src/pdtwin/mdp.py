@@ -108,7 +108,7 @@ class Transition:
 
 @dataclass(frozen=True)
 class EpisodeRecord:
-    """Seeded trace of one episode and its discounted return."""
+    """Seeded trace of one episode and its return."""
 
     transitions: tuple
     seed: int
@@ -142,17 +142,12 @@ class EvalSummary:
         }
 
 
-def run_episode(
-    env: Environment, policy: Policy, seed: int, discount: float = 1.0
-) -> EpisodeRecord:
-    """Simulate one seeded episode and accumulate the discounted return."""
-    if not (0.0 <= discount <= 1.0):
-        raise ValueError("discount must lie in [0, 1]")
+def run_episode(env: Environment, policy: Policy, seed: int) -> EpisodeRecord:
+    """Simulate one seeded episode and sum its rewards."""
     rng = np.random.default_rng(seed)
     state = env.reset(rng)
     transitions = []
     total = 0.0
-    factor = 1.0
     done = env.done(state)
     while not done:
         mask = env.action_mask(state)
@@ -163,8 +158,7 @@ def run_episode(
             )
         next_state, reward, done = env.step(state, action, rng)
         transitions.append(Transition(state, action, reward, next_state, done))
-        total += factor * reward
-        factor *= discount
+        total += reward
         state = next_state
     return EpisodeRecord(tuple(transitions), seed, total)
 
@@ -174,7 +168,6 @@ def evaluate_policy(
     policy: Policy,
     n_episodes: int,
     base_seed: int,
-    discount: float = 1.0,
     n_bins: int = 50,
     bin_range: tuple | None = None,
 ) -> EvalSummary:
@@ -187,7 +180,7 @@ def evaluate_policy(
         raise ValueError("n_episodes must be >= 1")
     returns, lengths = [], []
     for i in range(n_episodes):
-        rec = run_episode(env, policy, base_seed + i, discount)
+        rec = run_episode(env, policy, base_seed + i)
         returns.append(rec.total_return)
         lengths.append(rec.length)
     arr = np.asarray(returns)

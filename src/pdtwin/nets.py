@@ -23,22 +23,33 @@ CHECKPOINT_VERSION = 1
 
 
 class Mlp:
-    """Fully connected network: ReLU on hidden layers, identity on the output."""
+    """Fully connected network: ReLU on hidden layers, identity on the output.
+    ``weights`` and ``biases`` are views into one vector ``flat``: w0, b0, w1, ..."""
 
     def __init__(self, sizes, rng: np.random.Generator):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = tuple(int(s) for s in sizes)
-        self.weights = []
-        self.biases = []
+        self.n_layers = len(self.sizes) - 1
+        values = []
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+            values.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+            values.append(rng.uniform(-bound, bound, size=fan_out))
+        ends = np.cumsum([v.size for v in values]).tolist()
+        self._blocks = [(slice(e - v.size, e), v.shape) for v, e in zip(values, ends)]
+        self.size = ends[-1]
+        self.bind(np.concatenate([v.ravel() for v in values]))
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
+    def views(self, flat: np.ndarray) -> list:
+        """Views w0, b0, w1, b1, ... into a vector laid out like ``flat``."""
+        return [flat[block].reshape(shape) for block, shape in self._blocks]
+
+    def bind(self, flat: np.ndarray) -> None:
+        """Hold the parameters in ``flat`` from now on."""
+        self.flat = flat
+        views = self.views(flat)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     def forward(self, x: np.ndarray):
         """Batched forward pass; returns (output, cache for backward)."""
@@ -49,26 +60,25 @@ class Mlp:
         activations = [x]
         h = x
         for i in range(self.n_layers):
-            z = h @ self.weights[i] + self.biases[i]
+            h = h @ self.weights[i]
+            h += self.biases[i]
             if i < self.n_layers - 1:
-                h = np.maximum(z, 0.0)
-            else:
-                h = z
+                np.maximum(h, 0.0, out=h)
             activations.append(h)
         return h, activations
 
-    def backward(self, activations, d_out: np.ndarray):
-        """Gradients of sum(loss) given d(loss)/d(output); also returns d_input."""
-        grads_w = [None] * self.n_layers
-        grads_b = [None] * self.n_layers
+    def backward(self, activations, d_out: np.ndarray, grad: np.ndarray):
+        """Write the gradients of sum(loss), given d(loss)/d(output), into
+        ``grad`` (laid out like ``flat``); returns d(loss)/d(input)."""
+        grads = self.views(grad)
         delta = d_out
         for i in reversed(range(self.n_layers)):
             if i < self.n_layers - 1:
                 delta = delta * (activations[i + 1] > 0.0)
-            grads_w[i] = activations[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
+            np.matmul(activations[i].T, delta, out=grads[2 * i])
+            delta.sum(axis=0, out=grads[2 * i + 1])
             delta = delta @ self.weights[i].T
-        return grads_w, grads_b, delta
+        return delta
 
 
 def canonical_set(elements, element_dim: int) -> np.ndarray:
@@ -84,8 +94,22 @@ def canonical_set(elements, element_dim: int) -> np.ndarray:
     return rows
 
 
+@dataclass
+class SetBatch:
+    """The states ``forward_batch`` takes: one canonical (k, element_dim) set
+    per state and their aux vectors as one (B, aux_dim) array. Iterates as
+    (elements, aux) pairs."""
+
+    sets: list
+    aux: np.ndarray
+
+    def __iter__(self):
+        return zip(self.sets, self.aux)
+
+
 class DeepSetsNet:
-    """q(set, aux) = rho(concat(sum_y phi(y), aux)); output one value per action."""
+    """q(set, aux) = rho(concat(sum_y phi(y), aux)); output one value per action.
+    All parameters live in one vector ``flat``: phi's block, then rho's."""
 
     def __init__(
         self,
@@ -104,16 +128,24 @@ class DeepSetsNet:
         rng = np.random.default_rng(seed)
         self.phi = Mlp((element_dim, *phi_hidden, latent_dim), rng)
         self.rho = Mlp((latent_dim + aux_dim, *rho_hidden, output_dim), rng)
+        self.flat = np.concatenate([self.phi.flat, self.rho.flat])
+        self.phi.bind(self.flat[: self.phi.size])
+        self.rho.bind(self.flat[self.phi.size:])
 
     # parameter bookkeeping ------------------------------------------------
 
-    def parameters(self) -> dict:
-        params = {}
-        for name, mlp in (("phi", self.phi), ("rho", self.rho)):
+    def named(self, flat: np.ndarray) -> dict:
+        """Name -> view into a vector laid out like ``flat``."""
+        named, n_phi = {}, self.phi.size
+        for name, mlp, block in (("phi", self.phi, flat[:n_phi]),
+                                 ("rho", self.rho, flat[n_phi:])):
+            views = mlp.views(block)
             for i in range(mlp.n_layers):
-                params[f"{name}.w{i}"] = mlp.weights[i]
-                params[f"{name}.b{i}"] = mlp.biases[i]
-        return params
+                named[f"{name}.w{i}"], named[f"{name}.b{i}"] = views[2 * i : 2 * i + 2]
+        return named
+
+    def parameters(self) -> dict:
+        return self.named(self.flat)
 
     def copy(self) -> "DeepSetsNet":
         clone = DeepSetsNet(
@@ -121,7 +153,7 @@ class DeepSetsNet:
             phi_hidden=self.phi.sizes[1:-1], latent_dim=self.latent_dim,
             rho_hidden=self.rho.sizes[1:-1],
         )
-        clone.load_parameters(self.parameters())
+        clone.flat[...] = self.flat
         return clone
 
     def load_parameters(self, params: dict) -> None:
@@ -135,11 +167,11 @@ class DeepSetsNet:
 
     # single-state interface: batches of one --------------------------------
 
-    def _single(self, elements, aux) -> list:
+    def _single(self, elements, aux) -> SetBatch:
         aux = np.asarray(aux, dtype=float)
         if aux.shape != (self.aux_dim,):
             raise DimensionMismatch(f"aux must have shape ({self.aux_dim},)")
-        return [(canonical_set(elements, self.element_dim), aux)]
+        return SetBatch([canonical_set(elements, self.element_dim)], aux[None, :])
 
     def forward(self, elements, aux: np.ndarray) -> np.ndarray:
         """Q-values of one state; the elements may come in any order."""
@@ -147,58 +179,63 @@ class DeepSetsNet:
         return q[0]
 
     def backward(self, elements, aux, upstream: np.ndarray) -> dict:
-        """Exact gradients of upstream . q with respect to every parameter."""
+        """Exact gradients of upstream . q, as name -> array."""
         upstream = np.asarray(upstream, dtype=float)
         if upstream.shape != (self.output_dim,):
             raise DimensionMismatch(f"upstream must have shape ({self.output_dim},)")
         _, cache = self.forward_batch(self._single(elements, aux))
-        return self.backward_batch(cache, upstream[None, :])
+        return self.named(self.backward_batch(cache, upstream[None, :]))
 
     # batched interface (training hot path) --------------------------------
 
-    def forward_batch(self, encodings):
-        """Forward over (elements, aux) pairs; returns (Q, cache).
+    def forward_batch(self, batch: SetBatch):
+        """Forward over a batch of states; returns (Q, cache).
 
-        Each ``elements`` must already be a canonical (k, element_dim) array
-        (see ``canonical_set``): summing the rows of every set in one fixed
-        order is what makes the pooled sum bit-exactly permutation invariant.
+        Each set must already be a canonical (k, element_dim) array (see
+        ``canonical_set``): summing the rows of every set in one fixed order
+        is what makes the pooled sum bit-exactly permutation invariant.
         """
-        batch = len(encodings)
-        aux = np.stack([a for _, a in encodings])
-        sets = [e for e, _ in encodings]
-        seg = np.repeat(np.arange(batch), [len(e) for e in sets])
-        pooled = np.zeros((batch, self.latent_dim))
+        counts = [len(e) for e in batch.sets]
+        size, k_max = len(counts), max(counts)
         phi_cache = None
-        if len(seg):
-            phi_out, phi_cache = self.phi.forward(np.concatenate(sets))
-            np.add.at(pooled, seg, phi_out)
-        rho_in = np.concatenate([pooled, aux], axis=1)
-        q, rho_cache = self.rho.forward(rho_in)
-        return q, (seg, phi_cache, rho_cache, batch)
-
-    def backward_batch(self, cache, d_q: np.ndarray) -> dict:
-        seg, phi_cache, rho_cache, batch = cache
-        rho_gw, rho_gb, d_rho_in = self.rho.backward(rho_cache, d_q)
-        grads = {}
-        for i in range(self.rho.n_layers):
-            grads[f"rho.w{i}"] = rho_gw[i]
-            grads[f"rho.b{i}"] = rho_gb[i]
-        if phi_cache is not None:
-            d_phi_out = d_rho_in[seg, : self.latent_dim]
-            phi_gw, phi_gb, _ = self.phi.backward(phi_cache, d_phi_out)
+        if k_max:
+            phi_out, phi_cache = self.phi.forward(np.concatenate(batch.sets))
+            # Row j of set b goes to slot j + 1, column b, of a zero
+            # (1 + max k, B, latent) block that is then summed over its slots.
+            # numpy adds the slots one after another, so each pooled vector is
+            # 0 + row 1 + row 2 + ..., bit for bit a sequential add from zero.
+            # It would sum a lone 1-wide column pairwise; a second column
+            # prevents that.
+            padded = np.zeros((1 + k_max, max(size, 2), self.latent_dim))
+            filled = np.arange(k_max) < np.array(counts)[:, None]
+            padded[1:, :size].transpose(1, 0, 2)[filled] = phi_out
+            pooled = padded.sum(axis=0)[:size]
         else:
-            phi_gw = [np.zeros_like(w) for w in self.phi.weights]
-            phi_gb = [np.zeros_like(b) for b in self.phi.biases]
-        for i in range(self.phi.n_layers):
-            grads[f"phi.w{i}"] = phi_gw[i]
-            grads[f"phi.b{i}"] = phi_gb[i]
-        return grads
+            pooled = np.zeros((size, self.latent_dim))
+        rho_in = np.concatenate([pooled, batch.aux], axis=1)
+        q, rho_cache = self.rho.forward(rho_in)
+        return q, (counts, phi_cache, rho_cache)
+
+    def backward_batch(self, cache, d_q: np.ndarray) -> np.ndarray:
+        """Gradient of sum(d_q * Q) as one vector laid out like ``flat``."""
+        counts, phi_cache, rho_cache = cache
+        grad = np.empty_like(self.flat)
+        n_phi = self.phi.size
+        d_rho_in = self.rho.backward(rho_cache, d_q, grad[n_phi:])
+        if phi_cache is None:
+            grad[:n_phi] = 0.0
+        else:
+            d_phi_out = np.repeat(d_rho_in[:, : self.latent_dim], counts, axis=0)
+            self.phi.backward(phi_cache, d_phi_out, grad[:n_phi])
+        return grad
 
 
 @dataclass
 class Adam:
-    """First/second-moment adaptive update with bias correction."""
+    """First/second-moment adaptive update with bias correction, of one flat
+    parameter vector of ``size`` entries."""
 
+    size: int
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -206,20 +243,17 @@ class Adam:
 
     def __post_init__(self):
         self.t = 0
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m = np.zeros(self.size)
+        self.v = np.zeros(self.size)
 
-    def step(self, params: dict, grads: dict) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        for name, p in params.items():
-            g = grads[name]
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
-            m[...] = self.beta1 * m + (1 - self.beta1) * g
-            v[...] = self.beta2 * v + (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**self.t)
-            v_hat = v / (1 - self.beta2**self.t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self.m, self.v
+        m[...] = self.beta1 * m + (1 - self.beta1) * grad
+        v[...] = self.beta2 * v + (1 - self.beta2) * grad * grad
+        m_hat = m / (1 - self.beta1**self.t)
+        v_hat = v / (1 - self.beta2**self.t)
+        params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def save_checkpoint(path, net: DeepSetsNet, meta: dict | None = None) -> None:

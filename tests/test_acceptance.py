@@ -277,7 +277,7 @@ def test_criterion_8_reliability_environment():
     step_rng = np.random.default_rng(11)
     for _ in range(15):
         before = post.predictive_variance(feats)
-        x = select_fe_input(post, cfg.candidate_pool(), cfg)
+        x = select_fe_input(cfg.candidate_pool(), before)
         post = post.observe(
             basis_features(x, cfg), float(step_rng.normal()), cfg.fe_noise_var
         )

@@ -271,6 +271,37 @@ class TestParsing:
         assert (target / "oracle_table.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--env", "component", "--checkpoint", "c.npz"],
+        ["compare", "--env", "component"],
+        ["compare", "--env", "reliability"],
+    ])
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_episodes_below_one_is_usage_error(self, tmp_path, capsys, argv, episodes):
+        out = tmp_path / "o"
+        assert run([*argv, "--episodes", episodes, "--out", str(out)]) == 1
+        assert "--episodes: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_states_episode_defaults(self, capsys):
+        for command, default in (("eval", "(default: 1000)"),
+                                 ("compare", "(default: 1000 component, 200 reliability)")):
+            assert run([command, "--help"]) == 0
+            assert default in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--episodes", "1"],
+        ["eval", "--checkpoint", "c.npz"],
+        ["compare"],
+    ])
+    def test_set_encoding_on_reliability_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        code = run([*argv, "--env", "reliability", "--encoding", "set",
+                    "--out", str(out)])
+        assert code == 1
+        assert "--encoding set needs --env component" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parser_subcommands(self):
         parser = build_parser()
         args = parser.parse_args(

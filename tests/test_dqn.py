@@ -55,25 +55,45 @@ class TestTrainConfig:
             TrainConfig(epsilon_start=0.1, epsilon_end=0.5)
 
 
+def push_numbered(buf, i):
+    """Push transition i; every field of it encodes i."""
+    enc = StateEncoding(np.full((i % 3, 2), float(i)), np.array([float(i), 0.5]))
+    next_enc = StateEncoding(np.full((1, 2), -float(i)), np.array([-float(i), 1.5]))
+    next_mask = np.array([i % 2 == 0, True, i % 3 == 0])
+    buf.push(enc, i % 3, 10.0 * i, next_enc, i % 2 == 1, next_mask)
+
+
 class TestReplayBuffer:
     def test_ring_overwrites_oldest(self):
-        buf = ReplayBuffer(3)
+        buf = ReplayBuffer(3, aux_dim=2, action_count=3)
         for i in range(5):
-            buf.push(i)
+            push_numbered(buf, i)
         assert len(buf) == 3
-        assert sorted(buf.sample(3, np.random.default_rng(0))) == [2, 3, 4]
+        idx = buf.sample(3, np.random.default_rng(0))
+        assert sorted(buf.aux[idx, 0]) == [2.0, 3.0, 4.0]
+        for row in idx:
+            i = int(buf.aux[row, 0])
+            assert np.array_equal(buf.sets[row], np.full((i % 3, 2), float(i)))
+            assert np.array_equal(buf.aux[row], [i, 0.5])
+            assert buf.action[row] == i % 3
+            assert buf.reward[row] == 10.0 * i
+            assert np.array_equal(buf.next_sets[row], np.full((1, 2), -float(i)))
+            assert np.array_equal(buf.next_aux[row], [-i, 1.5])
+            assert buf.done[row] == (i % 2 == 1)
+            assert np.array_equal(buf.next_mask[row], [i % 2 == 0, True, i % 3 == 0])
 
     def test_sample_without_replacement(self):
-        buf = ReplayBuffer(10)
+        buf = ReplayBuffer(10, aux_dim=2, action_count=3)
         for i in range(10):
-            buf.push(i)
-        batch = buf.sample(10, np.random.default_rng(0))
-        assert sorted(batch) == list(range(10))
+            push_numbered(buf, i)
+        idx = buf.sample(10, np.random.default_rng(0))
+        assert sorted(idx.tolist()) == list(range(10))
 
     def test_sample_caps_at_size(self):
-        buf = ReplayBuffer(10)
-        buf.push("x")
-        assert buf.sample(5, np.random.default_rng(0)) == ["x"]
+        buf = ReplayBuffer(10, aux_dim=2, action_count=3)
+        push_numbered(buf, 7)
+        idx = buf.sample(5, np.random.default_rng(0))
+        assert idx.tolist() == [0] and buf.reward[0] == 70.0
 
 
 class TestEpsilonGreedy:

@@ -43,9 +43,9 @@ class TwoStepEnv(Environment):
 
 
 class TestRunEpisode:
-    def test_discounted_return(self):
-        rec = run_episode(TwoStepEnv(), FunctionPolicy(lambda s: 0), seed=0, discount=0.5)
-        assert rec.total_return == pytest.approx(1.0 + 0.5 * 2.0)
+    def test_return_sums_rewards(self):
+        rec = run_episode(TwoStepEnv(), FunctionPolicy(lambda s: 0), seed=0)
+        assert rec.total_return == 1.0 + 2.0
         assert rec.length == 2
 
     def test_masked_action_raises(self):
@@ -53,10 +53,6 @@ class TestRunEpisode:
             run_episode(
                 TwoStepEnv(mask_second_action=True), FunctionPolicy(lambda s: 1), seed=0
             )
-
-    def test_invalid_discount(self):
-        with pytest.raises(ValueError):
-            run_episode(TwoStepEnv(), FunctionPolicy(lambda s: 0), seed=0, discount=1.5)
 
     def test_bit_exact_reruns(self):
         env = ComponentEnv()
@@ -69,18 +65,6 @@ class TestRunEpisode:
         records = {run_episode(env, RandomPolicy(), seed=s).total_return
                    for s in range(20)}
         assert len(records) > 1
-
-    def test_discount_monotonicity_negative_rewards(self):
-        # all rewards negative: larger discount can only lower the return
-        class NegEnv(TwoStepEnv):
-            def step(self, state, action, rng):
-                return state + 1, -1.0, state + 1 >= 2
-
-        returns = [
-            run_episode(NegEnv(), FunctionPolicy(lambda s: 0), 0, discount=d).total_return
-            for d in (0.0, 0.25, 0.5, 0.75, 1.0)
-        ]
-        assert all(a >= b for a, b in zip(returns, returns[1:]))
 
 
 class TestEvaluatePolicy:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdtwin.nets import (
-    Adam, CHECKPOINT_VERSION, DeepSetsNet, DimensionMismatch, Mlp,
+    Adam, CHECKPOINT_VERSION, DeepSetsNet, DimensionMismatch, Mlp, SetBatch,
     canonical_set, load_checkpoint, save_checkpoint,
 )
 
@@ -20,13 +20,14 @@ def random_set(rng, n, dim=2):
     return [rng.standard_normal(dim) for _ in range(n)]
 
 
-def random_encodings(rng, count):
-    """(canonical set, aux) pairs in the form envs hand to forward_batch."""
-    return [
+def random_batch(rng, count):
+    """Canonical sets and aux rows in the form forward_batch takes."""
+    pairs = [
         (canonical_set(random_set(rng, int(rng.integers(0, 6))), 2),
          rng.standard_normal(1))
         for _ in range(count)
     ]
+    return SetBatch([e for e, _ in pairs], np.array([a for _, a in pairs]))
 
 
 class TestMlp:
@@ -50,7 +51,9 @@ class TestMlp:
         x = rng.standard_normal((5, 2))
         out, cache = mlp.forward(x)
         d_out = rng.standard_normal(out.shape)
-        grads_w, grads_b, d_x = mlp.backward(cache, d_out)
+        grad = np.empty(mlp.size)
+        d_x = mlp.backward(cache, d_out, grad)
+        grads_w, grads_b = mlp.views(grad)[0::2], mlp.views(grad)[1::2]
 
         def loss():
             return float((mlp.forward(x)[0] * d_out).sum())
@@ -174,34 +177,55 @@ class TestBatchedInterface:
     def test_forward_batch_matches_single(self):
         net = small_net(seed=11)
         rng = np.random.default_rng(13)
-        encodings = random_encodings(rng, 9)
-        q, _ = net.forward_batch(encodings)
-        for i, (elements, aux) in enumerate(encodings):
+        batch = random_batch(rng, 9)
+        q, _ = net.forward_batch(batch)
+        for i, (elements, aux) in enumerate(batch):
             shuffled = elements[rng.permutation(len(elements))]
             assert np.array_equal(q[i], net.forward(shuffled, aux))
 
     def test_backward_batch_sums_per_sample_gradients(self):
         net = small_net(seed=11)
         rng = np.random.default_rng(17)
-        encodings = random_encodings(rng, 5)
+        batch = random_batch(rng, 5)
         d_q = rng.standard_normal((5, 2))
-        _, cache = net.forward_batch(encodings)
-        batched = net.backward_batch(cache, d_q)
+        _, cache = net.forward_batch(batch)
+        batched = net.named(net.backward_batch(cache, d_q))
         for name in batched:
             total = sum(
                 net.backward(e, a, d_q[i])[name]
-                for i, (e, a) in enumerate(encodings)
+                for i, (e, a) in enumerate(batch)
             )
             assert np.allclose(batched[name], total, atol=1e-10)
 
     def test_all_empty_batch(self):
         net = small_net()
         empty = canonical_set([], 2)
-        encodings = [(empty, np.array([0.1])), (empty, np.array([0.2]))]
-        q, cache = net.forward_batch(encodings)
+        q, cache = net.forward_batch(SetBatch([empty, empty], np.array([[0.1], [0.2]])))
         assert q.shape == (2, 2)
-        grads = net.backward_batch(cache, np.ones((2, 2)))
+        grads = net.named(net.backward_batch(cache, np.ones((2, 2))))
         assert not grads["phi.w0"].any()
+
+
+class TestPooling:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 20), min_size=1, max_size=8),
+           st.sampled_from((1, 2, 3, 16)), st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_sequential_add_at(self, counts, latent, seed):
+        # ragged sets, empty sets, all-empty batches, 1-row batches and a
+        # width of 1; rows span many magnitudes so any reordering shows
+        net = DeepSetsNet(2, 1, 2, seed=0, phi_hidden=(4,), latent_dim=latent,
+                          rho_hidden=(3,))
+        rng = np.random.default_rng(seed)
+        sets = [canonical_set(rng.standard_normal((k, 2)), 2) for k in counts]
+        batch = SetBatch(sets, np.zeros((len(sets), 1)))
+        _, (_, _, rho_cache) = net.forward_batch(batch)
+        pooled = rho_cache[0][:, :latent]
+
+        expected = np.zeros((len(sets), latent))
+        if sum(counts):
+            rows, _ = net.phi.forward(np.concatenate(sets))
+            np.add.at(expected, np.repeat(np.arange(len(sets)), counts), rows)
+        assert np.array_equal(pooled, expected)
 
 
 class TestParameterHandling:
@@ -227,22 +251,64 @@ class TestParameterHandling:
             a.forward([], np.zeros(1)), b.forward([], np.zeros(1))
         )
 
+    def test_parameters_are_views_of_the_flat_vector(self):
+        def check(net):
+            for mlp in (net.phi, net.rho):
+                for arr in (*mlp.weights, *mlp.biases):
+                    assert np.shares_memory(arr, net.flat)
+            params = net.parameters()
+            assert sum(p.size for p in params.values()) == net.flat.size
+            for arr in params.values():
+                assert np.shares_memory(arr, net.flat)
+
+        net = small_net()
+        check(net)
+        clone = net.copy()
+        check(clone)
+        assert not np.shares_memory(clone.flat, net.flat)
+        clone.load_parameters({k: v + 1.0 for k, v in net.parameters().items()})
+        check(clone)
+        assert np.array_equal(clone.flat, net.flat + 1.0)
+        net.flat[...] = clone.flat  # how training syncs its target network
+        check(net)
+        assert np.array_equal(net.forward([(0.5, 1.0)], np.zeros(1)),
+                              clone.forward([(0.5, 1.0)], np.zeros(1)))
+
 
 class TestAdam:
     def test_single_step_magnitude(self):
         # with one gradient step, bias correction makes the update ~lr*sign(g)
-        params = {"w": np.array([1.0, -1.0])}
-        grads = {"w": np.array([0.5, -2.0])}
-        opt = Adam(learning_rate=0.1)
-        opt.step(params, grads)
-        assert params["w"] == pytest.approx([0.9, -0.9], abs=1e-6)
+        params = np.array([1.0, -1.0])
+        opt = Adam(2, learning_rate=0.1)
+        opt.step(params, np.array([0.5, -2.0]))
+        assert params == pytest.approx([0.9, -0.9], abs=1e-6)
 
     def test_descends_a_quadratic(self):
-        params = {"w": np.array([5.0])}
-        opt = Adam(learning_rate=0.1)
+        params = np.array([5.0])
+        opt = Adam(1, learning_rate=0.1)
         for _ in range(500):
-            opt.step(params, {"w": 2.0 * params["w"]})
-        assert abs(params["w"][0]) < 1e-2
+            opt.step(params, 2.0 * params)
+        assert abs(params[0]) < 1e-2
+
+    def test_flat_step_is_bit_identical_to_per_name_updates(self):
+        net = small_net(seed=2)
+        reference = {k: v.copy() for k, v in net.parameters().items()}
+        m = {k: np.zeros_like(v) for k, v in reference.items()}
+        v2 = {k: np.zeros_like(v) for k, v in reference.items()}
+        opt = Adam(net.flat.size, learning_rate=0.01)
+        b1, b2, lr, eps = opt.beta1, opt.beta2, opt.learning_rate, opt.eps
+        rng = np.random.default_rng(4)
+        for t in range(1, 21):
+            grad = rng.standard_normal(net.flat.size) * 10.0 ** rng.integers(-6, 3)
+            opt.step(net.flat, grad)
+            for name, g in net.named(grad).items():
+                m[name] = b1 * m[name] + (1 - b1) * g
+                v2[name] = b2 * v2[name] + (1 - b2) * g * g
+                m_hat = m[name] / (1 - b1**t)
+                v_hat = v2[name] / (1 - b2**t)
+                reference[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for name, arr in net.parameters().items():
+            assert np.array_equal(arr, reference[name])
 
 
 class TestCheckpoint:

@@ -95,7 +95,7 @@ class TestSurrogatePosterior:
         feats = basis_features(pool, CONFIG)
         for _ in range(12):
             before = post.predictive_variance(feats)
-            x = select_fe_input(post, pool, CONFIG)
+            x = select_fe_input(pool, before)
             post = post.observe(
                 basis_features(x, CONFIG), float(rng.normal()), CONFIG.fe_noise_var
             )
@@ -173,15 +173,18 @@ class TestSelectFeInput:
     def test_picks_max_variance_candidate(self):
         prior = SurrogatePosterior.prior(CONFIG)
         pool = CONFIG.candidate_pool()
-        chosen = select_fe_input(prior, pool, CONFIG)
         variances = prior.predictive_variance(basis_features(pool, CONFIG))
+        chosen = select_fe_input(pool, variances)
         assert np.array_equal(chosen, pool[int(np.argmax(variances))])
+
+    def test_ties_break_to_lowest_index(self):
+        pool = CONFIG.candidate_pool()[:4]
+        chosen = select_fe_input(pool, np.array([0.5, 2.0, 2.0, 1.0]))
+        assert np.array_equal(chosen, pool[1])
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            select_fe_input(
-                SurrogatePosterior.prior(CONFIG), np.zeros((0, 5)), CONFIG
-            )
+            select_fe_input(np.zeros((0, 5)), np.zeros(0))
 
 
 class TestBenchmarkPolicy:
@@ -223,6 +226,18 @@ class TestEnvironment:
         nxt, _, _ = self.env.step(state, FE, np.random.default_rng(0))
         assert nxt.fe_observations.shape == (1, CONFIG.input_dim + 1)
         assert not nxt.fe_observations.flags.writeable
+
+    def test_pool_variance_follows_the_surrogate(self):
+        feats = basis_features(CONFIG.candidate_pool(), CONFIG)
+        state = fresh_state()
+        rng = np.random.default_rng(0)
+        for action in (FE, MEASUREMENT, FE, LAB, FE):
+            expected = state.surrogate.predictive_variance(feats)
+            assert np.array_equal(state.pool_variance, expected)
+            assert not state.pool_variance.flags.writeable
+            state, _, done = self.env.step(state, action, rng)
+            if done:
+                break
 
     def test_step_after_done(self):
         from dataclasses import replace
@@ -299,7 +314,7 @@ class TestEnvironment:
             state, _, done = self.env.step(state, FE, rng)
             if done:
                 return
-        assert self.env.surrogate_spread(state.surrogate) < 0.01
+        assert self.env.surrogate_spread(state) < 0.01
 
     def test_encoding_hides_ground_truth(self):
         state = fresh_state()
