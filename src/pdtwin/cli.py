@@ -9,7 +9,6 @@ error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -18,15 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
-from .dqn import QPolicy, TrainConfig, train
+from .dqn import QPolicy, train
 from .envs.component import ComponentEnv
 from .envs.reliability import (
     FAILED, ReliabilityEnv, benchmark_policy_action,
 )
-from .mdp import (
-    FunctionPolicy, RandomPolicy, episodes_to_csv, evaluate_policy, run_episode,
-    write_json,
-)
+from .mdp import FunctionPolicy, RandomPolicy, evaluate_policy, write_csv, write_json
 from .nets import load_checkpoint, save_checkpoint
 from .oracle import OraclePolicy, TabularState, backward_induction, table_to_csv
 
@@ -64,8 +60,8 @@ def _component_hist_range(config) -> tuple:
 
 
 def _load_policy(path, env, args) -> QPolicy:
-    if not Path(path).exists():
-        raise MissingCheckpoint(path)
+    if not Path(path).is_file():
+        raise MissingCheckpoint(f"no checkpoint file at {path}")
     net, meta = load_checkpoint(path)
     expected = {"env": args.env}
     if args.env == "component":  # the reliability env has one encoding
@@ -93,14 +89,12 @@ def cmd_train(args) -> int:
         meta={"env": args.env, "encoding": args.encoding,
               "constrained": args.constrained, "seed": run_config.train.seed},
     )
-    with open(out / "curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "return", "epsilon", "loss_moving_average"])
-        for i, (ret, eps, lma) in enumerate(
+    write_csv(
+        out / "curve.csv", ["episode", "return", "epsilon", "loss_moving_average"],
+        ([i, repr(ret), repr(eps), repr(lma)] for i, (ret, eps, lma) in enumerate(
             zip(result.episode_returns, result.episode_epsilons,
-                result.loss_moving_average)
-        ):
-            writer.writerow([i, repr(ret), repr(eps), repr(lma)])
+                result.loss_moving_average))),
+    )
     config_mod.write_resolved(
         out / "resolved_config.json", run_config,
         extra={"command": "train", "env": args.env, "encoding": args.encoding,
@@ -110,33 +104,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _reliability_rows(env, policy, n_episodes, base_seed):
-    """Per-episode rows: seed, success, total cost, action counts per type."""
-    rows = []
-    for i in range(n_episodes):
-        rec = run_episode(env, policy, base_seed + i)
-        final = rec.transitions[-1].next_state
-        counts = [0, 0, 0]
-        for t in rec.transitions:
-            counts[t.action] += 1
-        rows.append(
-            {
-                "seed": base_seed + i,
-                "success": final.outcome != FAILED,
-                "outcome": final.outcome,
-                "total_cost": rec.total_return,
-                "n_measurement": counts[0],
-                "n_fe": counts[1],
-                "n_lab": counts[2],
-            }
-        )
-    return rows
-
-
-def _reliability_summary(rows) -> tuple:
-    """Success rate, and mean total cost of the successful episodes (None if none)."""
-    costs = [r["total_cost"] for r in rows if r["success"]]
-    return len(costs) / len(rows), (float(np.mean(costs)) if costs else None)
+def _reliability_episodes(path, summary, base_seed) -> tuple:
+    """Write one row per reliability episode: seed, success, outcome, total
+    cost and the count of each action type. Returns the success rate and the
+    mean total cost of the successful episodes (None if none)."""
+    success = [state.outcome != FAILED for state in summary.final_states]
+    write_csv(
+        path, ["seed", "success", "outcome", "total_cost",
+               "n_measurement", "n_fe", "n_lab"],
+        ([base_seed + i, int(ok), state.outcome, repr(ret), *counts]
+         for i, (ok, state, ret, counts) in enumerate(zip(
+             success, summary.final_states, summary.returns,
+             summary.action_counts.tolist()))),
+    )
+    costs = [ret for ok, ret in zip(success, summary.returns) if ok]
+    return len(costs) / len(success), (float(np.mean(costs)) if costs else None)
 
 
 def cmd_eval(args) -> int:
@@ -147,20 +129,20 @@ def cmd_eval(args) -> int:
     env = _make_env(args, run_config)
     policy = _load_policy(args.checkpoint, env, args)
     n = args.episodes
+    bin_range = (_component_hist_range(run_config.component)
+                 if args.env == "component" else None)
+    summary = evaluate_policy(env, policy, n, args.seed, bin_range=bin_range)
 
     if args.env == "reliability":
-        rows = _reliability_rows(env, policy, n, args.seed)
-        _write_reliability_csv(out / "episodes.csv", rows)
-        rate, mean_cost = _reliability_summary(rows)
+        rate, mean_cost = _reliability_episodes(out / "episodes.csv", summary, args.seed)
         write_json(out / "summary.json", {
             "success_rate": rate, "mean_cost_successful": mean_cost, "n_episodes": n,
         })
     else:
-        summary = evaluate_policy(
-            env, policy, n, args.seed,
-            bin_range=_component_hist_range(run_config.component),
-        )
-        episodes_to_csv(out / "episodes.csv", args.seed, summary)
+        write_csv(out / "episodes.csv", ["seed", "return", "length"], (
+            [args.seed + i, repr(ret), length]
+            for i, (ret, length) in enumerate(zip(summary.returns, summary.lengths))
+        ))
         write_json(out / "summary.json", summary.to_json_dict())
     config_mod.write_resolved(
         out / "resolved_config.json", run_config,
@@ -193,20 +175,6 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _write_reliability_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["seed", "success", "outcome", "total_cost",
-             "n_measurement", "n_fe", "n_lab"]
-        )
-        for r in rows:
-            writer.writerow(
-                [r["seed"], int(r["success"]), r["outcome"], repr(r["total_cost"]),
-                 r["n_measurement"], r["n_fe"], r["n_lab"]]
-            )
-
-
 def _compare_component(args, run_config, out) -> None:
     env = ComponentEnv(run_config.component, encoding=args.encoding)
     constrained_config = dataclasses.replace(run_config.component, constrained=True)
@@ -216,37 +184,31 @@ def _compare_component(args, run_config, out) -> None:
         ("random", RandomPolicy(), env),
         ("oracle", OraclePolicy(backward_induction(run_config.component)), env),
     ]
-    checkpoints = args.checkpoint or []
     labels = ["dqn_unconstrained", "dqn_constrained"]
-    for label, path in zip(labels, checkpoints):
+    for label, path in zip(labels, args.checkpoint or []):
         use_env = constrained_env if label == "dqn_constrained" else env
         policies.append((label, _load_policy(path, use_env, args), use_env))
 
     n = args.episodes or 1000
     bin_range = _component_hist_range(run_config.component)
-    table_rows = []
-    hist_columns = {}
+    table_rows, bin_columns = [], []
     for name, policy, use_env in policies:
         summary = evaluate_policy(use_env, policy, n, args.seed, bin_range=bin_range)
         table_rows.append(
             [name, repr(summary.mean), repr(summary.sd),
              repr(summary.min), repr(summary.max)]
         )
-        hist_columns[name] = summary
-    with open(out / "compare_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "mean", "sd", "min", "max"])
-        writer.writerows(table_rows)
-    with open(out / "compare_histogram.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        first = next(iter(hist_columns.values()))
-        writer.writerow(
-            ["bin_left", "bin_right"] + [name for name in hist_columns]
-        )
-        for i in range(len(first.bin_counts)):
-            row = [repr(first.bin_edges[i]), repr(first.bin_edges[i + 1])]
-            row += [hist_columns[name].bin_counts[i] for name in hist_columns]
-            writer.writerow(row)
+        bin_columns.append(summary.bin_counts)
+        edges = summary.bin_edges  # the same for every policy: one bin_range
+        del summary  # it holds every final state; free them before the next block
+    write_csv(out / "compare_table.csv", ["policy", "mean", "sd", "min", "max"],
+              table_rows)
+    write_csv(
+        out / "compare_histogram.csv",
+        ["bin_left", "bin_right"] + [row[0] for row in table_rows],
+        ([repr(edges[i]), repr(edges[i + 1]), *counts]
+         for i, counts in enumerate(zip(*bin_columns))),
+    )
 
 
 def _compare_reliability(args, run_config, out) -> None:
@@ -259,22 +221,23 @@ def _compare_reliability(args, run_config, out) -> None:
         policies.append(("dqn", _load_policy(args.checkpoint[0], env, args)))
 
     n = args.episodes or 200
-    with open(out / "compare_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["policy", "success_rate", "mean_cost_successful",
-             "mean_measurements", "mean_fe", "mean_lab"]
+    table_rows = []
+    for name, policy in policies:
+        summary = evaluate_policy(env, policy, n, args.seed)
+        rate, mean_cost = _reliability_episodes(
+            out / f"episodes_{name}.csv", summary, args.seed
         )
-        for name, policy in policies:
-            rows = _reliability_rows(env, policy, n, args.seed)
-            _write_reliability_csv(out / f"episodes_{name}.csv", rows)
-            rate, mean_cost = _reliability_summary(rows)
-            writer.writerow(
-                [name, repr(rate), "" if mean_cost is None else repr(mean_cost),
-                 repr(float(np.mean([r["n_measurement"] for r in rows]))),
-                 repr(float(np.mean([r["n_fe"] for r in rows]))),
-                 repr(float(np.mean([r["n_lab"] for r in rows])))]
-            )
+        table_rows.append(
+            [name, repr(rate), "" if mean_cost is None else repr(mean_cost)]
+            + [repr(float(column.mean())) for column in summary.action_counts.T]
+        )
+        del summary  # it holds every final state; free them before the next block
+    write_csv(
+        out / "compare_table.csv",
+        ["policy", "success_rate", "mean_cost_successful",
+         "mean_measurements", "mean_fe", "mean_lab"],
+        table_rows,
+    )
 
 
 def cmd_compare(args) -> int:
@@ -300,6 +263,19 @@ def _episode_count(text: str) -> int:
     return value
 
 
+# the flags shared between commands; train and eval take all of them
+_FLAGS = {
+    "--env": dict(choices=("component", "reliability"), required=True),
+    "--config": dict(default=None, help="JSON config file"),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(default="out", help=f"output directory (or ${OUT_DIR_ENV_VAR})"),
+    "--constrained": dict(action="store_true"),
+    "--encoding": dict(choices=("compressed", "set"), default="compressed",
+                       help="component state encoding (reliability has one)"),
+}
+_MAX_CHECKPOINTS = {"component": 2, "reliability": 1}  # per compare --env
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdtwin",
@@ -307,45 +283,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_env=True, episodes=None, episodes_type=int,
-               episodes_help=None):
-        if needs_env:
-            p.add_argument("--env", choices=("component", "reliability"),
-                           required=True)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--episodes", type=episodes_type, default=episodes,
-                       help=episodes_help)
-        p.add_argument("--out", default="out",
-                       help=f"output directory (or ${OUT_DIR_ENV_VAR})")
-        p.add_argument("--constrained", action="store_true")
-        p.add_argument("--encoding", choices=("compressed", "set"),
-                       default="compressed",
-                       help="component state encoding (reliability has one)")
+    def command(name, fn, flags, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p_train = sub.add_parser("train", help="train a DQN policy")
-    common(p_train, episodes_help="training episodes (default: the config's "
-                                  "train.episodes, 3000 component, 5000 reliability)")
-    p_train.set_defaults(fn=cmd_train)
+    p_train = command("train", cmd_train, _FLAGS, help="train a DQN policy")
+    p_train.add_argument("--episodes", type=int, default=None,
+                         help="training episodes (default: the config's "
+                              "train.episodes, 3000 component, 5000 reliability)")
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint greedily")
-    common(p_eval, episodes=1000, episodes_type=_episode_count,
-           episodes_help="episodes, >= 1 (default: %(default)s)")
+    p_eval = command("eval", cmd_eval, _FLAGS, help="evaluate a checkpoint greedily")
+    p_eval.add_argument("--episodes", type=_episode_count, default=1000,
+                        help="episodes, >= 1 (default: %(default)s)")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.set_defaults(fn=cmd_eval)
 
-    p_oracle = sub.add_parser("oracle", help="exact backward induction table")
-    common(p_oracle, needs_env=False)
-    p_oracle.set_defaults(fn=cmd_oracle)
+    command("oracle", cmd_oracle, ("--config", "--out", "--constrained"),
+            help="exact backward induction table")
 
-    p_compare = sub.add_parser("compare", help="compare policies side by side")
-    common(p_compare, episodes_type=_episode_count,
-           episodes_help="episodes per policy, >= 1 (default: 1000 component, "
-                         "200 reliability)")
+    p_compare = command(
+        "compare", cmd_compare,
+        ("--env", "--config", "--seed", "--out", "--encoding"),
+        help="compare policies side by side",
+    )
+    p_compare.add_argument("--episodes", type=_episode_count, default=None,
+                           help="episodes per policy, >= 1 (default: 1000 "
+                                "component, 200 reliability)")
     p_compare.add_argument("--checkpoint", action="append", default=None,
-                           help="may be given twice for component "
-                                "(unconstrained then constrained)")
-    p_compare.set_defaults(fn=cmd_compare)
+                           help="at most twice for component (unconstrained "
+                                "then constrained), once for reliability")
     return parser
 
 
@@ -353,8 +321,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "env", None) == "reliability" and args.encoding == "set":
+        env = getattr(args, "env", None)  # oracle has no --env
+        if env == "reliability" and args.encoding == "set":
             parser.error("--encoding set needs --env component")
+        if env == "reliability" and getattr(args, "constrained", False):
+            parser.error("--constrained needs --env component")
+        if args.command == "compare" and len(args.checkpoint or []) > _MAX_CHECKPOINTS[env]:
+            parser.error(f"compare --env {env} takes at most "
+                         f"{_MAX_CHECKPOINTS[env]} --checkpoint")
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -90,15 +90,6 @@ class RunConfig:
     reliability: ReliabilityConfig
     train: TrainConfig
 
-    def resolved_dict(self) -> dict:
-        return {
-            "env": {
-                "component": dataclasses.asdict(self.component),
-                "reliability": dataclasses.asdict(self.reliability),
-            },
-            "train": dataclasses.asdict(self.train),
-        }
-
 
 def load_run_config(
     path: str | None,
@@ -110,7 +101,10 @@ def load_run_config(
     """Assemble the full run configuration from a file and CLI overrides."""
     raw: dict = {}
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -142,7 +136,13 @@ def load_run_config(
 
 
 def write_resolved(path, config: RunConfig, extra: dict | None = None) -> None:
-    block = config.resolved_dict()
+    block = {
+        "env": {
+            "component": dataclasses.asdict(config.component),
+            "reliability": dataclasses.asdict(config.reliability),
+        },
+        "train": dataclasses.asdict(config.train),
+    }
     if extra:
         block["run"] = extra
     write_json(path, block)

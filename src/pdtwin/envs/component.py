@@ -19,7 +19,6 @@ from ..beliefs import DiscreteEpistemicBelief, epistemic_condition
 from ..mdp import Environment, StateEncoding, StepAfterDone
 
 TERMINATE, TEST, REPLACE, USE = 0, 1, 2, 3
-ACTION_NAMES = ("terminate", "test", "replace", "use")
 _OUTCOME_ROWS = np.array([[0.0], [1.0]])  # set elements for Y = 0 and Y = 1
 
 
@@ -142,7 +141,7 @@ def expected_use_reward(psi: float, config: CoinConfig = CoinConfig()) -> float:
 def component_mask(info: TabularState, config: CoinConfig) -> np.ndarray:
     """Legal actions given the outcome counts; the constraint bars Use unless
     P(theta_good) exceeds the threshold."""
-    mask = np.ones(len(ACTION_NAMES), dtype=bool)
+    mask = np.ones(4, dtype=bool)  # TERMINATE, TEST, REPLACE, USE
     if config.constrained and 1.0 - belief_psi(info, config) <= config.constraint_threshold:
         mask[USE] = False
     return mask

@@ -108,9 +108,6 @@ class SurrogatePosterior:
     weight_mean: np.ndarray  # (input_dim,)
     weight_covariance: np.ndarray  # (input_dim, input_dim)
 
-    def mean_array(self) -> np.ndarray:
-        return self.weight_mean
-
     def cov_array(self) -> np.ndarray:
         return self.weight_covariance
 
@@ -139,7 +136,7 @@ class SurrogatePosterior:
         self, features: np.ndarray, y: float, noise_var: float
     ) -> "SurrogatePosterior":
         """Rank-one conjugate update with one noisy linear observation."""
-        m = self.mean_array()
+        m = self.weight_mean
         s = self.cov_array()
         phi = np.asarray(features, dtype=float)
         s_phi = s @ phi
@@ -188,7 +185,7 @@ def _pf_samples(state: ReliabilityState, config: ReliabilityConfig, seed: int):
     cov = state.surrogate.cov_array()
     eigval, eigvec = np.linalg.eigh(cov)
     root = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    betas = state.surrogate.mean_array() + rng.standard_normal((n, config.input_dim)) @ root.T
+    betas = state.surrogate.weight_mean + rng.standard_normal((n, config.input_dim)) @ root.T
     ds = state.defect_belief.mean + state.defect_belief.sd * rng.standard_normal(n)
     mus = (
         state.discrepancy_belief.mean

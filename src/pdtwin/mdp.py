@@ -113,6 +113,7 @@ class EpisodeRecord:
     transitions: tuple
     seed: int
     total_return: float
+    final_state: Any  # the reset state when the episode has length 0
 
     @property
     def length(self) -> int:
@@ -121,6 +122,9 @@ class EpisodeRecord:
 
 @dataclass(frozen=True)
 class EvalSummary:
+    """Statistics of a seeded episode block, and per episode its return,
+    length, count of each action and final state."""
+
     mean: float
     sd: float
     min: float
@@ -129,6 +133,8 @@ class EvalSummary:
     bin_counts: tuple
     returns: tuple
     lengths: tuple
+    action_counts: np.ndarray  # (n_episodes, action_count) ints
+    final_states: tuple
 
     def to_json_dict(self) -> dict:
         return {
@@ -160,7 +166,7 @@ def run_episode(env: Environment, policy: Policy, seed: int) -> EpisodeRecord:
         transitions.append(Transition(state, action, reward, next_state, done))
         total += reward
         state = next_state
-    return EpisodeRecord(tuple(transitions), seed, total)
+    return EpisodeRecord(tuple(transitions), seed, total, state)
 
 
 def evaluate_policy(
@@ -168,27 +174,32 @@ def evaluate_policy(
     policy: Policy,
     n_episodes: int,
     base_seed: int,
-    n_bins: int = 50,
     bin_range: tuple | None = None,
 ) -> EvalSummary:
-    """Run ``n_episodes`` seeded episodes and summarize the returns and lengths.
+    """Run ``n_episodes`` seeded episodes and summarize them.
 
-    Episode i uses seed ``base_seed + i``. With a single episode the sd is
-    reported as 0.
+    Episode i uses seed ``base_seed + i``. Returns are counted in 50 bins
+    over ``bin_range`` (default: their min to max). With a single episode
+    the sd is reported as 0.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    returns, lengths = [], []
+    returns, lengths, final_states, action_counts = [], [], [], []
     for i in range(n_episodes):
         rec = run_episode(env, policy, base_seed + i)
         returns.append(rec.total_return)
         lengths.append(rec.length)
+        final_states.append(rec.final_state)
+        per_action = [0] * env.action_count
+        for t in rec.transitions:
+            per_action[t.action] += 1
+        action_counts.append(per_action)
     arr = np.asarray(returns)
     sd = float(arr.std(ddof=1)) if n_episodes > 1 else 0.0
     lo, hi = (float(arr.min()), float(arr.max())) if bin_range is None else bin_range
     if lo == hi:
         hi = lo + 1.0
-    counts, edges = np.histogram(arr, bins=n_bins, range=(lo, hi))
+    counts, edges = np.histogram(arr, bins=50, range=(lo, hi))
     return EvalSummary(
         mean=float(arr.mean()),
         sd=sd,
@@ -198,16 +209,17 @@ def evaluate_policy(
         bin_counts=tuple(int(c) for c in counts),
         returns=tuple(float(r) for r in returns),
         lengths=tuple(lengths),
+        action_counts=np.array(action_counts, dtype=np.int64),
+        final_states=tuple(final_states),
     )
 
 
-def episodes_to_csv(path, base_seed: int, summary: EvalSummary):
-    """One row per episode: seed, return, length."""
+def write_csv(path, header: list, rows) -> None:
+    """The CSV files every command writes: a header row, then ``rows``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["seed", "return", "length"])
-        for i, (ret, length) in enumerate(zip(summary.returns, summary.lengths)):
-            writer.writerow([base_seed + i, repr(ret), length])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_json(path, block: dict) -> None:

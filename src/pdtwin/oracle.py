@@ -11,7 +11,6 @@ lowest action index, which makes the optimal policy unique.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +19,7 @@ from .envs.component import (
     CoinConfig, CoinState, TabularState,
     belief_psi, component_mask, expected_use_reward, success_probability,
 )
-from .mdp import Policy, PolicyReturnedMaskedAction
+from .mdp import Policy, PolicyReturnedMaskedAction, write_csv
 
 
 class PolicyUndefinedAtState(KeyError):
@@ -131,14 +130,9 @@ class OraclePolicy(Policy):
 
 
 def table_to_csv(path, table: ValueTable) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_success", "n_fail", "days_left", "value", "action"])
-        for state in sorted(
-            table.values, key=lambda s: (-s.days_left, s.n_success, s.n_fail)
-        ):
-            action = table.actions.get(state, "")
-            writer.writerow(
-                [state.n_success, state.n_fail, state.days_left,
-                 repr(table.values[state]), action]
-            )
+    states = sorted(table.values, key=lambda s: (-s.days_left, s.n_success, s.n_fail))
+    write_csv(path, ["n_success", "n_fail", "days_left", "value", "action"], (
+        [s.n_success, s.n_fail, s.days_left, repr(table.values[s]),
+         table.actions.get(s, "")]
+        for s in states
+    ))

@@ -70,6 +70,17 @@ class TestEval:
         ])
         assert code == 1
 
+    def test_checkpoint_directory_is_usage_error(self, tmp_path, capsys):
+        directory = tmp_path / "checkpoint.npz"
+        directory.mkdir()
+        for command in ("eval", "compare"):
+            code = run([
+                command, "--env", "component", "--episodes", "2",
+                "--checkpoint", str(directory), "--out", str(tmp_path / "o"),
+            ])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: no checkpoint file at")
+
     def test_wrong_env_checkpoint_is_usage_error(self, tmp_path, capsys):
         out = train_tiny(tmp_path)  # component, compressed encoding
         for command in ("eval", "compare"):
@@ -147,6 +158,17 @@ class TestCompare:
         assert names == ["random", "benchmark"]
         assert (cmp_out / "episodes_random.csv").exists()
         assert (cmp_out / "episodes_benchmark.csv").exists()
+
+    @pytest.mark.parametrize("env, allowed", [("component", 2), ("reliability", 1)])
+    def test_too_many_checkpoints_is_usage_error(self, tmp_path, capsys, env, allowed):
+        # the paths do not exist: the count is checked before any is opened
+        checkpoints = [flag for i in range(allowed + 1)
+                       for flag in ("--checkpoint", str(tmp_path / f"c{i}.npz"))]
+        out = tmp_path / "o"
+        assert run(["compare", "--env", env, *checkpoints, "--out", str(out)]) == 1
+        assert (f"compare --env {env} takes at most {allowed} --checkpoint"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def read_csv(path):
@@ -290,17 +312,44 @@ class TestParsing:
             assert default in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("argv", [
-        ["train", "--episodes", "1"],
-        ["eval", "--checkpoint", "c.npz"],
-        ["compare"],
+        ["train", "--episodes", "1", "--encoding", "set"],
+        ["eval", "--checkpoint", "c.npz", "--encoding", "set"],
+        ["compare", "--encoding", "set"],
+        ["train", "--episodes", "1", "--constrained"],
+        ["eval", "--checkpoint", "c.npz", "--constrained"],
     ])
     def test_set_encoding_on_reliability_is_usage_error(self, tmp_path, capsys, argv):
+        flag = "--constrained" if "--constrained" in argv else "--encoding set"
         out = tmp_path / "o"
-        code = run([*argv, "--env", "reliability", "--encoding", "set",
-                    "--out", str(out)])
+        code = run([*argv, "--env", "reliability", "--out", str(out)])
         assert code == 1
-        assert "--encoding set needs --env component" in capsys.readouterr().err
+        assert f"{flag} needs --env component" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--seed", "9"],
+        ["oracle", "--episodes", "3"],
+        ["oracle", "--encoding", "set"],
+        ["oracle", "--env", "component"],
+        ["compare", "--env", "component", "--constrained"],
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert run([*argv, "--out", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()],
+                             ids=["missing", "directory"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, make):
+        cfg = tmp_path / "cfg.json"
+        make(cfg)
+        code = run([
+            "train", "--env", "component", "--episodes", "2",
+            "--config", str(cfg), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot read config file")
 
     def test_parser_subcommands(self):
         parser = build_parser()

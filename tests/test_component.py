@@ -9,7 +9,7 @@ from pdtwin.envs.component import (
     belief_from_observations, belief_psi, component_mask, expected_use_reward,
     success_probability,
 )
-from pdtwin.mdp import FunctionPolicy, StepAfterDone, run_episode
+from pdtwin.mdp import FunctionPolicy, StepAfterDone, evaluate_policy, run_episode
 from pdtwin.nets import canonical_set
 from pdtwin.oracle import enumerate_states, q_backup
 
@@ -245,8 +245,16 @@ class TestEpisodeInvariants:
         state = env.reset(np.random.default_rng(0))
         assert state.done and env.done(state)
         assert env.encode(state).aux[-1] == 0.0
-        rec = run_episode(env, FunctionPolicy(lambda s: 1 / 0), seed=5)
+        never = FunctionPolicy(lambda s: 1 / 0)
+        rec = run_episode(env, never, seed=5)
         assert rec.length == 0 and rec.total_return == 0.0
+        assert rec.final_state == env.reset(np.random.default_rng(5))
+        summary = evaluate_policy(env, never, 3, base_seed=5)
+        assert summary.lengths == (0, 0, 0)
+        assert summary.action_counts.tolist() == [[0] * 4] * 3
+        assert summary.final_states == tuple(
+            env.reset(np.random.default_rng(5 + i)) for i in range(3)
+        )
 
 
 def _random_policy():

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from pdtwin.envs.component import TERMINATE, USE, ComponentEnv
+from pdtwin.envs.reliability import ReliabilityEnv
 from pdtwin.mdp import (
     Environment, EpisodeRecord, FunctionPolicy,
     PolicyReturnedMaskedAction, RandomPolicy, StateEncoding,
-    episodes_to_csv, evaluate_policy, run_episode,
-    write_json,
+    evaluate_policy, run_episode, write_csv, write_json,
 )
 
 
@@ -47,6 +47,7 @@ class TestRunEpisode:
         rec = run_episode(TwoStepEnv(), FunctionPolicy(lambda s: 0), seed=0)
         assert rec.total_return == 1.0 + 2.0
         assert rec.length == 2
+        assert rec.final_state == rec.transitions[-1].next_state == 2
 
     def test_masked_action_raises(self):
         with pytest.raises(PolicyReturnedMaskedAction):
@@ -84,12 +85,27 @@ class TestEvaluatePolicy:
         assert summary.min <= summary.mean <= summary.max
 
     def test_seeding_contract(self):
-        env = ComponentEnv()
-        summary = evaluate_policy(env, RandomPolicy(), 5, base_seed=40)
-        for i in range(5):
-            assert summary.returns[i] == run_episode(
-                env, RandomPolicy(), 40 + i
-            ).total_return
+        """Episode i of the block is the episode run_episode plays at seed
+        base_seed + i: same return, length, action counts and final state."""
+        for env in (ComponentEnv(), ReliabilityEnv()):
+            summary = evaluate_policy(env, RandomPolicy(), 5, base_seed=40)
+            assert summary.action_counts.shape == (5, env.action_count)
+            for i in range(5):
+                rec = run_episode(env, RandomPolicy(), 40 + i)
+                assert summary.returns[i] == rec.total_return
+                assert summary.lengths[i] == rec.length
+                actions = [t.action for t in rec.transitions]
+                assert summary.action_counts[i].tolist() == [
+                    actions.count(a) for a in range(env.action_count)
+                ]
+                # reliability states hold arrays and compare by identity, so
+                # compare what encode reads and how the episode ended
+                final, expected = summary.final_states[i], rec.final_state
+                got, want = env.encode(final), env.encode(expected)
+                assert np.array_equal(got.elements, want.elements)
+                assert np.array_equal(got.aux, want.aux)
+                assert final.done and expected.done
+                assert getattr(final, "outcome", None) == getattr(expected, "outcome", None)
 
     def test_requires_at_least_one_episode(self):
         with pytest.raises(ValueError):
@@ -106,8 +122,12 @@ class TestExports:
         env = ComponentEnv()
         summary = evaluate_policy(env, RandomPolicy(), 10, 3)
         path = tmp_path / "episodes.csv"
-        episodes_to_csv(path, 3, summary)
-        with open(path) as fh:
+        write_csv(path, ["seed", "return", "length"], (
+            [3 + i, repr(ret), length]
+            for i, (ret, length) in enumerate(zip(summary.returns, summary.lengths))
+        ))
+        assert path.read_bytes().count(b"\r\n") == 11  # the default dialect
+        with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 10
         assert [float(r["return"]) for r in rows] == list(summary.returns)

@@ -79,7 +79,7 @@ class TestSurrogatePosterior:
         )
         cov = post.cov_array()
         assert np.array_equal(cov, cov.T)
-        for arr in (post.mean_array(), cov):
+        for arr in (post.weight_mean, cov):
             assert not arr.flags.writeable
 
     def test_predictive_variance_positive_semidefinite(self):
@@ -111,9 +111,9 @@ class TestSurrogatePosterior:
         prec = np.linalg.inv(prior.cov_array()) + np.outer(phi, phi) / noise
         cov = np.linalg.inv(prec)
         mean = cov @ (
-            np.linalg.inv(prior.cov_array()) @ prior.mean_array() + phi * y / noise
+            np.linalg.inv(prior.cov_array()) @ prior.weight_mean + phi * y / noise
         )
-        assert np.allclose(post.mean_array(), mean, atol=1e-10)
+        assert np.allclose(post.weight_mean, mean, atol=1e-10)
         assert np.allclose(post.cov_array(), cov, atol=1e-10)
 
 

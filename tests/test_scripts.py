@@ -1,0 +1,32 @@
+"""The experiment scripts drive the CLI end to end; a parser change that
+breaks one of their command lines fails here."""
+
+import csv
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, policies", [
+    ("run_component_experiment",
+     ["random", "oracle", "dqn_unconstrained", "dqn_constrained"]),
+    ("run_reliability_experiment", ["random", "benchmark", "dqn"]),
+])
+def test_script_runs_every_command(tmp_path, monkeypatch, name, policies):
+    monkeypatch.setattr(sys, "argv", [
+        f"{name}.py", "--episodes", "3", "--eval-episodes", "3", "--out", str(tmp_path),
+    ])
+    load_script(name).main()  # exits non-zero when any command fails
+    with open(tmp_path / "compare" / "compare_table.csv", newline="") as fh:
+        assert [row["policy"] for row in csv.DictReader(fh)] == policies
