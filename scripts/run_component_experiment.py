@@ -1,9 +1,10 @@
 """End-to-end component-replacement experiment.
 
 Trains DQN agents with both state encodings plus a constrained variant,
-computes the exact oracle table, and writes a side-by-side comparison of
-random / oracle / DQN policies. Everything goes through the CLI so the runs
-are reproducible from the resolved-config files alone.
+evaluates each greedily, computes the exact oracle table, and writes a
+side-by-side comparison of random / oracle / DQN policies. Everything goes
+through the CLI, so the runs are reproducible from the resolved-config files
+alone, and one run of this script exercises every command.
 """
 
 import argparse
@@ -37,11 +38,17 @@ def main():
     run(["oracle", "--out", str(out / "oracle")])
     run(["oracle", "--constrained", "--out", str(out / "oracle_constrained")])
 
-    for encoding in ("compressed", "set"):
-        run(["train", *common, "--encoding", encoding, *train_extra,
-             "--out", str(out / f"train_{encoding}")])
-    run(["train", *common, "--encoding", "compressed", "--constrained",
-         *train_extra, "--out", str(out / "train_constrained")])
+    variants = {  # output name -> the encoding flags of its train and eval
+        "compressed": ["--encoding", "compressed"],
+        "set": ["--encoding", "set"],
+        "constrained": ["--encoding", "compressed", "--constrained"],
+    }
+    for name, flags in variants.items():
+        run(["train", *common, *flags, *train_extra,
+             "--out", str(out / f"train_{name}")])
+        run(["eval", *common, *flags, "--episodes", str(args.eval_episodes),
+             "--checkpoint", str(out / f"train_{name}" / "checkpoint.npz"),
+             "--out", str(out / f"eval_{name}")])
 
     run(["compare", *common, "--episodes", str(args.eval_episodes),
          "--checkpoint", str(out / "train_compressed" / "checkpoint.npz"),

@@ -1,8 +1,9 @@
 """End-to-end reliability information-gathering experiment.
 
-Trains a DQN agent on the three-channel experiment-selection game and
-compares it against the uniform-random policy and the fixed benchmark cycle
-(ten computer experiments, one lab test, one measurement).
+Trains a DQN agent on the three-channel experiment-selection game,
+evaluates it greedily, and compares it against the uniform-random policy
+and the fixed benchmark cycle (ten computer experiments, one lab test, one
+measurement).
 """
 
 import argparse
@@ -34,6 +35,9 @@ def main():
     )
 
     run(["train", *common, *train_extra, "--out", str(out / "train")])
+    run(["eval", *common, "--episodes", str(args.eval_episodes),
+         "--checkpoint", str(out / "train" / "checkpoint.npz"),
+         "--out", str(out / "eval")])
     run(["compare", *common, "--episodes", str(args.eval_episodes),
          "--checkpoint", str(out / "train" / "checkpoint.npz"),
          "--out", str(out / "compare")])

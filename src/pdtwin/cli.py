@@ -91,9 +91,9 @@ def cmd_train(args) -> int:
     )
     write_csv(
         out / "curve.csv", ["episode", "return", "epsilon", "loss_moving_average"],
-        ([i, repr(ret), repr(eps), repr(lma)] for i, (ret, eps, lma) in enumerate(
-            zip(result.episode_returns, result.episode_epsilons,
-                result.loss_moving_average))),
+        ([i, repr(ret), repr(run_config.train.epsilon_at(i)), repr(lma)]
+         for i, (ret, lma) in enumerate(
+             zip(result.episode_returns, result.loss_moving_average))),
     )
     config_mod.write_resolved(
         out / "resolved_config.json", run_config,
@@ -175,7 +175,7 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _compare_component(args, run_config, out) -> None:
+def _compare_component(args, run_config, out, n) -> None:
     env = ComponentEnv(run_config.component, encoding=args.encoding)
     constrained_config = dataclasses.replace(run_config.component, constrained=True)
     constrained_env = ComponentEnv(constrained_config, encoding=args.encoding)
@@ -189,7 +189,6 @@ def _compare_component(args, run_config, out) -> None:
         use_env = constrained_env if label == "dqn_constrained" else env
         policies.append((label, _load_policy(path, use_env, args), use_env))
 
-    n = args.episodes or 1000
     bin_range = _component_hist_range(run_config.component)
     table_rows, bin_columns = [], []
     for name, policy, use_env in policies:
@@ -211,7 +210,7 @@ def _compare_component(args, run_config, out) -> None:
     )
 
 
-def _compare_reliability(args, run_config, out) -> None:
+def _compare_reliability(args, run_config, out, n) -> None:
     env = ReliabilityEnv(run_config.reliability)
     policies = [
         ("random", RandomPolicy()),
@@ -220,7 +219,6 @@ def _compare_reliability(args, run_config, out) -> None:
     if args.checkpoint:
         policies.append(("dqn", _load_policy(args.checkpoint[0], env, args)))
 
-    n = args.episodes or 200
     table_rows = []
     for name, policy in policies:
         summary = evaluate_policy(env, policy, n, args.seed)
@@ -243,31 +241,35 @@ def _compare_reliability(args, run_config, out) -> None:
 def cmd_compare(args) -> int:
     run_config = config_mod.load_run_config(args.config, args.env, constrained=False)
     out = _out_dir(args)
+    n = args.episodes or (1000 if args.env == "component" else 200)
     if args.env == "component":
-        _compare_component(args, run_config, out)
+        _compare_component(args, run_config, out, n)
     else:
-        _compare_reliability(args, run_config, out)
+        _compare_reliability(args, run_config, out, n)
     config_mod.write_resolved(
         out / "resolved_config.json", run_config,
-        extra={"command": "compare", "env": args.env,
-               "episodes": args.episodes, "seed": args.seed},
+        extra={"command": "compare", "env": args.env, "episodes": n,
+               "seed": args.seed},
     )
     print(f"wrote {out / 'compare_table.csv'}")
     return 0
 
 
-def _episode_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """Parser type for an integer flag that must be at least ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 # the flags shared between commands; train and eval take all of them
 _FLAGS = {
     "--env": dict(choices=("component", "reliability"), required=True),
     "--config": dict(default=None, help="JSON config file"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_int_at_least(0), default=0, help="base seed, >= 0"),
     "--out": dict(default="out", help=f"output directory (or ${OUT_DIR_ENV_VAR})"),
     "--constrained": dict(action="store_true"),
     "--encoding": dict(choices=("compressed", "set"), default="compressed",
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "train.episodes, 3000 component, 5000 reliability)")
 
     p_eval = command("eval", cmd_eval, _FLAGS, help="evaluate a checkpoint greedily")
-    p_eval.add_argument("--episodes", type=_episode_count, default=1000,
+    p_eval.add_argument("--episodes", type=_int_at_least(1), default=1000,
                         help="episodes, >= 1 (default: %(default)s)")
     p_eval.add_argument("--checkpoint", required=True)
 
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--env", "--config", "--seed", "--out", "--encoding"),
         help="compare policies side by side",
     )
-    p_compare.add_argument("--episodes", type=_episode_count, default=None,
+    p_compare.add_argument("--episodes", type=_int_at_least(1), default=None,
                            help="episodes per policy, >= 1 (default: 1000 "
                                 "component, 200 reliability)")
     p_compare.add_argument("--checkpoint", action="append", default=None,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 from .dqn import TrainConfig
@@ -76,12 +77,14 @@ def _build(cls, *layers: dict):
 
 
 def _check_type(cls, field, value) -> None:
-    """Reject a value of a type its field's annotation does not name."""
+    """Reject a value of a type its annotation does not name, or a NaN or infinity."""
     allowed = sum((_TYPES[name] for name in field.type.split(" | ")), ())
     if type(value) not in allowed:
         raise ConfigError(
             f"{cls.__name__}.{field.name} must be {field.type}, got {value!r}"
         )
+    if type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"{cls.__name__}.{field.name} must be finite, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -139,35 +139,33 @@ def epsilon_greedy(
 def td_target(reward, done, next_q: np.ndarray, next_mask: np.ndarray, discount):
     """Bootstrap target: reward, plus the best legal next value if not terminal.
 
-    Takes one transition (scalars, 1-d ``next_q``) or a batch (arrays, one
-    row of ``next_q`` and ``next_mask`` per transition).
+    Takes one transition (scalars, 1-d ``next_q``; the target is a 0-d array)
+    or a batch (arrays, one row of ``next_q`` and ``next_mask`` per transition).
     """
     best = np.max(np.where(next_mask, next_q, -np.inf), axis=-1)
-    target = np.where(done, reward, reward + discount * best)
-    return float(target) if target.ndim == 0 else target
+    return np.where(done, reward, reward + discount * best)
 
 
 class QPolicy(Policy):
     """Acts by (masked) argmax of the value network's outputs."""
 
-    def __init__(self, net: DeepSetsNet, env: Environment, epsilon: float = 0.0):
+    def __init__(self, net: DeepSetsNet, env: Environment):
         self.net = net
         self.env = env
-        self.epsilon = epsilon
 
     def q_values(self, state) -> np.ndarray:
         enc = self.env.encode(state)
         return self.net.forward(enc.elements, enc.aux)
 
     def act(self, state, mask, rng) -> int:
-        return epsilon_greedy(self.q_values(state), mask, self.epsilon, rng)
+        # draws from rng even at epsilon 0; the episode's env steps share rng
+        return epsilon_greedy(self.q_values(state), mask, 0.0, rng)
 
 
 @dataclass
 class TrainResult:
     policy: QPolicy
     episode_returns: list = field(default_factory=list)
-    episode_epsilons: list = field(default_factory=list)
     loss_moving_average: list = field(default_factory=list)
     snapshot_scores: list = field(default_factory=list)  # (episode, mean return)
 
@@ -231,7 +229,6 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
                 target.flat[...] = net.flat
 
         result.episode_returns.append(ep_return)
-        result.episode_epsilons.append(epsilon)
         result.loss_moving_average.append(loss_ma if have_loss else float("nan"))
 
         if config.snapshot_every is not None and (

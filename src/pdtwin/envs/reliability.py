@@ -35,7 +35,7 @@ FAILED = "failed"
 
 @dataclass(frozen=True)
 class ReliabilityConfig:
-    input_dim: int = 5  # the basis features are the raw input coordinates
+    input_dim: int = 5  # the surrogate is linear in the raw input coordinates
     pool_size: int = 64
     pool_seed: int = 20_240_101
     prior_beta_mean: float = 0.5
@@ -82,14 +82,6 @@ class ReliabilityConfig:
         """Fixed design-candidate grid in [-1, 1]^input_dim."""
         rng = np.random.default_rng(self.pool_seed)
         return rng.uniform(-1.0, 1.0, size=(self.pool_size, self.input_dim))
-
-
-def basis_features(x: np.ndarray, config: ReliabilityConfig) -> np.ndarray:
-    """Feature map of a design input; the raw coordinates (affine basis)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != config.input_dim:
-        raise ValueError(f"input must have dimension {config.input_dim}")
-    return x
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -160,13 +152,16 @@ class ReliabilityState:
     true_beta: np.ndarray  # read-only
     true_defect: float
     true_discrepancy: float
-    done: bool = False
-    outcome: str | None = None  # CONFIRMED_* or FAILED once done
+    outcome: str | None = None  # CONFIRMED_* or FAILED once the episode ends
     # (E[p_f], Std(p_f)) under this state's beliefs; reset and step set it
     pf_stats: tuple | None = None
     # read-only predictive variance of the surrogate at every design
     # candidate; reset and FE steps set it next to the surrogate
     pool_variance: np.ndarray | None = None
+
+    @property
+    def done(self) -> bool:
+        return self.outcome is not None
 
 
 def pf_given_theta(
@@ -241,15 +236,14 @@ class ReliabilityEnv(Environment):
 
     def __init__(self, config: ReliabilityConfig = ReliabilityConfig()):
         self.config = config
-        self.pool = config.candidate_pool()
+        self.pool = config.candidate_pool()  # also the surrogate's feature rows
         self.element_dim = config.input_dim + 1
         self.aux_dim = 8
-        self._pool_features = basis_features(self.pool, config)
         self._prior_pool_variance = self._pool_variance(SurrogatePosterior.prior(config))
         self._prior_surrogate_sd = float(np.sqrt(self._prior_pool_variance.max()))
 
     def _pool_variance(self, surrogate: SurrogatePosterior) -> np.ndarray:
-        return _read_only(surrogate.predictive_variance(self._pool_features))
+        return _read_only(surrogate.predictive_variance(self.pool))
 
     def reset(self, rng) -> ReliabilityState:
         cfg = self.config
@@ -302,13 +296,12 @@ class ReliabilityEnv(Environment):
             reward = cfg.cost_lab
         elif action == FE:
             x = select_fe_input(self.pool, state.pool_variance)
-            phi = basis_features(x, cfg)
             y = float(
-                state.true_beta @ phi
+                state.true_beta @ x
                 + np.sqrt(cfg.fe_noise_var) * rng.standard_normal()
             )
             rows = np.vstack([state.fe_observations, np.append(x, y)])
-            surrogate = state.surrogate.observe(phi, y, cfg.fe_noise_var)
+            surrogate = state.surrogate.observe(x, y, cfg.fe_noise_var)
             changes = {
                 "surrogate": surrogate,
                 "pool_variance": self._pool_variance(surrogate),
@@ -323,11 +316,9 @@ class ReliabilityEnv(Environment):
         verdict = check_objective(*stats, cfg.target)
         if verdict == UNDECIDED and new_state.actions_taken >= cfg.max_actions:
             verdict, reward = FAILED, reward + cfg.failure_penalty
-        done = verdict != UNDECIDED
-        new_state = replace(
-            new_state, pf_stats=stats, done=done, outcome=verdict if done else None
-        )
-        return new_state, reward, done
+        outcome = None if verdict == UNDECIDED else verdict
+        new_state = replace(new_state, pf_stats=stats, outcome=outcome)
+        return new_state, reward, new_state.done
 
     def surrogate_spread(self, state: ReliabilityState) -> float:
         """Largest remaining predictive sd over the design pool, in [0, 1]

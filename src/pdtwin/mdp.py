@@ -98,26 +98,27 @@ class FunctionPolicy(Policy):
 
 
 @dataclass(frozen=True)
-class Transition:
-    state: Any
-    action: int
-    reward: float
-    next_state: Any
-    done: bool
-
-
-@dataclass(frozen=True)
 class EpisodeRecord:
-    """Seeded trace of one episode and its return."""
+    """Seeded trace of one episode and its return.
 
-    transitions: tuple
+    ``states[0]`` is the reset state; step t took ``actions[t]`` from
+    ``states[t]`` to ``states[t + 1]`` and earned ``rewards[t]``. An episode
+    of length 0 holds the reset state alone.
+    """
+
     seed: int
+    states: tuple
+    actions: tuple
+    rewards: tuple
     total_return: float
-    final_state: Any  # the reset state when the episode has length 0
+
+    @property
+    def final_state(self):
+        return self.states[-1]
 
     @property
     def length(self) -> int:
-        return len(self.transitions)
+        return len(self.actions)
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,12 @@ class EvalSummary:
     bin_edges: tuple
     bin_counts: tuple
     returns: tuple
-    lengths: tuple
     action_counts: np.ndarray  # (n_episodes, action_count) ints
     final_states: tuple
+
+    @property
+    def lengths(self) -> tuple:
+        return tuple(int(n) for n in self.action_counts.sum(axis=1))
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,7 +156,7 @@ def run_episode(env: Environment, policy: Policy, seed: int) -> EpisodeRecord:
     """Simulate one seeded episode and sum its rewards."""
     rng = np.random.default_rng(seed)
     state = env.reset(rng)
-    transitions = []
+    states, actions, rewards = [state], [], []
     total = 0.0
     done = env.done(state)
     while not done:
@@ -162,11 +166,12 @@ def run_episode(env: Environment, policy: Policy, seed: int) -> EpisodeRecord:
             raise PolicyReturnedMaskedAction(
                 f"action {action} is masked in state {state!r}"
             )
-        next_state, reward, done = env.step(state, action, rng)
-        transitions.append(Transition(state, action, reward, next_state, done))
-        total += reward
-        state = next_state
-    return EpisodeRecord(tuple(transitions), seed, total, state)
+        state, reward, done = env.step(state, action, rng)
+        states.append(state)
+        actions.append(action)
+        rewards.append(reward)
+        total += reward  # in order: sum() of floats is compensated in 3.12+
+    return EpisodeRecord(seed, tuple(states), tuple(actions), tuple(rewards), total)
 
 
 def evaluate_policy(
@@ -184,16 +189,12 @@ def evaluate_policy(
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    returns, lengths, final_states, action_counts = [], [], [], []
+    returns, final_states, action_counts = [], [], []
     for i in range(n_episodes):
         rec = run_episode(env, policy, base_seed + i)
         returns.append(rec.total_return)
-        lengths.append(rec.length)
         final_states.append(rec.final_state)
-        per_action = [0] * env.action_count
-        for t in rec.transitions:
-            per_action[t.action] += 1
-        action_counts.append(per_action)
+        action_counts.append(np.bincount(rec.actions, minlength=env.action_count))
     arr = np.asarray(returns)
     sd = float(arr.std(ddof=1)) if n_episodes > 1 else 0.0
     lo, hi = (float(arr.min()), float(arr.max())) if bin_range is None else bin_range
@@ -208,7 +209,6 @@ def evaluate_policy(
         bin_edges=tuple(float(e) for e in edges),
         bin_counts=tuple(int(c) for c in counts),
         returns=tuple(float(r) for r in returns),
-        lengths=tuple(lengths),
         action_counts=np.array(action_counts, dtype=np.int64),
         final_states=tuple(final_states),
     )

@@ -21,8 +21,7 @@ from pdtwin.envs.component import (
 )
 from pdtwin.envs.reliability import (
     FAILED, FE, ReliabilityConfig, ReliabilityEnv, UNDECIDED,
-    basis_features, benchmark_policy_action, check_objective, estimate_pf_stats,
-    select_fe_input,
+    benchmark_policy_action, check_objective, estimate_pf_stats, select_fe_input,
 )
 from pdtwin.mdp import FunctionPolicy, RandomPolicy, evaluate_policy, run_episode
 from pdtwin.nets import DeepSetsNet
@@ -74,7 +73,8 @@ def trained_reliability():
 
 def use_failures(record) -> int:
     return sum(
-        1 for t in record.transitions if t.action == USE and t.reward < 0.0
+        1 for action, reward in zip(record.actions, record.rewards)
+        if action == USE and reward < 0.0
     )
 
 
@@ -82,7 +82,7 @@ def reliability_rows(env, policy, n, base_seed):
     rows = []
     for i in range(n):
         rec = run_episode(env, policy, base_seed + i)
-        final = rec.transitions[-1].next_state
+        final = rec.final_state
         rows.append((final.outcome != FAILED, rec.total_return))
     return rows
 
@@ -176,8 +176,8 @@ def test_criterion_6_constraint_enforcement(oracle_table, constrained_table):
     constrained_failures = 0
     for i in range(n):
         rec = run_episode(constrained_env, policy, FAILURE_SEED_BASE + i)
-        for t in rec.transitions:
-            if t.action == USE and 1.0 - belief_psi(t.state.info) <= 0.9:
+        for state, action in zip(rec.states, rec.actions):
+            if action == USE and 1.0 - belief_psi(state.info) <= 0.9:
                 violations += 1
         constrained_failures += use_failures(rec) > 0
     unconstrained_failures = sum(
@@ -272,16 +272,14 @@ def test_criterion_8_reliability_environment():
     )
 
     post = state.surrogate
-    feats = basis_features(cfg.candidate_pool(), cfg)
+    pool = cfg.candidate_pool()
     monotone_ok = True
     step_rng = np.random.default_rng(11)
     for _ in range(15):
-        before = post.predictive_variance(feats)
-        x = select_fe_input(cfg.candidate_pool(), before)
-        post = post.observe(
-            basis_features(x, cfg), float(step_rng.normal()), cfg.fe_noise_var
-        )
-        after = post.predictive_variance(feats)
+        before = post.predictive_variance(pool)
+        x = select_fe_input(pool, before)
+        post = post.observe(x, float(step_rng.normal()), cfg.fe_noise_var)
+        after = post.predictive_variance(pool)
         if not (after <= before + 1e-10).all():
             monotone_ok = False
             break

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from pdtwin.cli import OUT_DIR_ENV_VAR, build_parser, main
+from pdtwin.config import load_run_config
 
 
 def run(argv):
@@ -35,6 +36,11 @@ class TestTrain:
         lines = (out / "curve.csv").read_text().splitlines()
         assert lines[0] == "episode,return,epsilon,loss_moving_average"
         assert len(lines) == 13
+        # the epsilon column is the schedule training explored with
+        train = load_run_config(str(out / "resolved_config.json"), "component").train
+        with open(out / "curve.csv", newline="") as fh:
+            epsilons = [float(row["epsilon"]) for row in csv.DictReader(fh)]
+        assert epsilons == [train.epsilon_at(i) for i in range(12)]
 
     def test_reliability_round_trip(self, tmp_path):
         out = train_tiny(tmp_path, env="reliability", episodes=3)
@@ -159,6 +165,12 @@ class TestCompare:
         assert (cmp_out / "episodes_random.csv").exists()
         assert (cmp_out / "episodes_benchmark.csv").exists()
 
+    def test_default_episode_count_is_recorded(self, tmp_path):
+        cmp_out = tmp_path / "cmp"
+        assert run(["compare", "--env", "component", "--out", str(cmp_out)]) == 0
+        resolved = json.loads((cmp_out / "resolved_config.json").read_text())
+        assert resolved["run"]["episodes"] == 1000
+
     @pytest.mark.parametrize("env, allowed", [("component", 2), ("reliability", 1)])
     def test_too_many_checkpoints_is_usage_error(self, tmp_path, capsys, env, allowed):
         # the paths do not exist: the count is checked before any is opened
@@ -270,6 +282,7 @@ class TestParsing:
         {"train": {"episodes": "abc"}},
         {"env": {"component": {"theta_bad": 1.5}}},
         {"train": {"seed": "x"}},
+        {"env": {"component": {"use_stake": float("nan")}}},
     ])
     def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, config):
         # --episodes and --seed replace the file's values but must not hide them
@@ -303,6 +316,17 @@ class TestParsing:
         out = tmp_path / "o"
         assert run([*argv, "--episodes", episodes, "--out", str(out)]) == 1
         assert "--episodes: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--env", "component", "--episodes", "1"],
+        ["eval", "--env", "component", "--checkpoint", "c.npz"],
+        ["compare", "--env", "component", "--episodes", "3"],
+    ])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert run([*argv, "--seed", "-1", "--out", str(out)]) == 1
+        assert "--seed: must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_help_states_episode_defaults(self, capsys):

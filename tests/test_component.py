@@ -220,17 +220,17 @@ class TestEpisodeInvariants:
             rec = run_episode(env, _random_policy(), seed)
             assert rec.length <= 10
             assert -1e7 <= rec.total_return <= 1e7
-            assert rec.transitions[-1].done
-            assert all(not t.done for t in rec.transitions[:-1])
+            assert rec.final_state.done
+            assert all(not s.done for s in rec.states[:-1])
 
     def test_constrained_never_uses_at_low_confidence(self):
         env = ComponentEnv(CoinConfig(constrained=True))
         threshold = env.config.constraint_threshold
         for seed in range(100):
             rec = run_episode(env, _random_policy(), seed)
-            for t in rec.transitions:
-                if t.action == USE:
-                    psi = belief_psi(t.state.info)
+            for state, action in zip(rec.states, rec.actions):
+                if action == USE:
+                    psi = belief_psi(state.info)
                     assert 1.0 - psi > threshold
 
     def test_terminate_policy_returns_zero(self):

@@ -116,6 +116,9 @@ class TestValidation:
         ("train", {"rho_hidden": ["a"]}),
         ("train", {"n_step": 3}),  # removed settings are unknown keys
         ("train", {"target_clip": [0, 1]}),
+        ("component", {"use_stake": float("nan")}),  # json.dumps writes NaN
+        ("reliability", {"gamma": float("inf")}),  # and Infinity
+        ("train", {"learning_rate": float("inf")}),
     ])
     def test_rejects_bad_values(self, tmp_path, section, values):
         raw = {"train": values} if section == "train" else {"env": {section: values}}

@@ -190,7 +190,6 @@ class TestTraining:
         cfg = TrainConfig(episodes=40, warmup=16, batch_size=8)
         result = train(BanditEnv(), cfg)
         assert len(result.episode_returns) == 40
-        assert len(result.episode_epsilons) == 40
         assert len(result.loss_moving_average) == 40
 
     def test_double_dqn_also_learns(self):
@@ -277,6 +276,15 @@ class TestQPolicy:
         acts = {policy.act(0, np.ones(3, dtype=bool), np.random.default_rng(i))
                 for i in range(10)}
         assert len(acts) == 1
+
+    def test_act_draws_once_from_rng(self):
+        # run_episode steps the environment with the policy's rng, so every
+        # evaluation stream depends on this one draw per greedy action
+        policy = train(BanditEnv(), TrainConfig(episodes=20, warmup=16)).policy
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        policy.act(0, np.ones(3, dtype=bool), rng)
+        reference.random()
+        assert rng.random() == reference.random()
 
 
 @pytest.mark.slow

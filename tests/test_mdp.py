@@ -47,7 +47,7 @@ class TestRunEpisode:
         rec = run_episode(TwoStepEnv(), FunctionPolicy(lambda s: 0), seed=0)
         assert rec.total_return == 1.0 + 2.0
         assert rec.length == 2
-        assert rec.final_state == rec.transitions[-1].next_state == 2
+        assert rec.final_state == rec.states[-1] == 2
 
     def test_masked_action_raises(self):
         with pytest.raises(PolicyReturnedMaskedAction):
@@ -86,17 +86,25 @@ class TestEvaluatePolicy:
 
     def test_seeding_contract(self):
         """Episode i of the block is the episode run_episode plays at seed
-        base_seed + i: same return, length, action counts and final state."""
+        base_seed + i: same return, length, action counts and final state.
+        Each record holds one state more than it has actions and rewards."""
         for env in (ComponentEnv(), ReliabilityEnv()):
             summary = evaluate_policy(env, RandomPolicy(), 5, base_seed=40)
             assert summary.action_counts.shape == (5, env.action_count)
             for i in range(5):
                 rec = run_episode(env, RandomPolicy(), 40 + i)
+                assert len(rec.states) == rec.length + 1 == len(rec.rewards) + 1
+                assert rec.final_state is rec.states[-1]
+                total = 0.0
+                for reward in rec.rewards:
+                    total += reward
+                assert rec.total_return == total
+                done = [env.done(s) for s in rec.states]
+                assert done == [False] * rec.length + [True]
                 assert summary.returns[i] == rec.total_return
                 assert summary.lengths[i] == rec.length
-                actions = [t.action for t in rec.transitions]
                 assert summary.action_counts[i].tolist() == [
-                    actions.count(a) for a in range(env.action_count)
+                    rec.actions.count(a) for a in range(env.action_count)
                 ]
                 # reliability states hold arrays and compare by identity, so
                 # compare what encode reads and how the episode ended

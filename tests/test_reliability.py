@@ -6,8 +6,8 @@ from pdtwin.beliefs import GaussianBelief
 from pdtwin.envs.reliability import (
     CONFIRMED_ABOVE, CONFIRMED_BELOW, FAILED, FE, LAB, MEASUREMENT, UNDECIDED,
     ReliabilityConfig, ReliabilityEnv, ReliabilityState, SurrogatePosterior,
-    basis_features, benchmark_policy_action, check_objective, estimate_pf_stats,
-    pf_given_theta, select_fe_input,
+    benchmark_policy_action, check_objective, estimate_pf_stats, pf_given_theta,
+    select_fe_input,
 )
 from pdtwin.mdp import FunctionPolicy, RandomPolicy, StepAfterDone, run_episode
 
@@ -85,21 +85,18 @@ class TestSurrogatePosterior:
     def test_predictive_variance_positive_semidefinite(self):
         prior = SurrogatePosterior.prior(CONFIG)
         pool = CONFIG.candidate_pool()
-        variances = prior.predictive_variance(basis_features(pool, CONFIG))
+        variances = prior.predictive_variance(pool)
         assert (variances >= 0.0).all()
 
     def test_variance_never_increases_with_observations(self):
         rng = np.random.default_rng(3)
         post = SurrogatePosterior.prior(CONFIG)
         pool = CONFIG.candidate_pool()
-        feats = basis_features(pool, CONFIG)
         for _ in range(12):
-            before = post.predictive_variance(feats)
+            before = post.predictive_variance(pool)
             x = select_fe_input(pool, before)
-            post = post.observe(
-                basis_features(x, CONFIG), float(rng.normal()), CONFIG.fe_noise_var
-            )
-            after = post.predictive_variance(feats)
+            post = post.observe(x, float(rng.normal()), CONFIG.fe_noise_var)
+            after = post.predictive_variance(pool)
             assert (after <= before + 1e-10).all()
 
     def test_rank_one_update_matches_direct_inversion(self):
@@ -173,7 +170,7 @@ class TestSelectFeInput:
     def test_picks_max_variance_candidate(self):
         prior = SurrogatePosterior.prior(CONFIG)
         pool = CONFIG.candidate_pool()
-        variances = prior.predictive_variance(basis_features(pool, CONFIG))
+        variances = prior.predictive_variance(pool)
         chosen = select_fe_input(pool, variances)
         assert np.array_equal(chosen, pool[int(np.argmax(variances))])
 
@@ -228,11 +225,11 @@ class TestEnvironment:
         assert not nxt.fe_observations.flags.writeable
 
     def test_pool_variance_follows_the_surrogate(self):
-        feats = basis_features(CONFIG.candidate_pool(), CONFIG)
+        pool = CONFIG.candidate_pool()
         state = fresh_state()
         rng = np.random.default_rng(0)
         for action in (FE, MEASUREMENT, FE, LAB, FE):
-            expected = state.surrogate.predictive_variance(feats)
+            expected = state.surrogate.predictive_variance(pool)
             assert np.array_equal(state.pool_variance, expected)
             assert not state.pool_variance.flags.writeable
             state, _, done = self.env.step(state, action, rng)
@@ -242,14 +239,15 @@ class TestEnvironment:
     def test_step_after_done(self):
         from dataclasses import replace
 
-        state = replace(fresh_state(), done=True, outcome=FAILED)
+        state = replace(fresh_state(), outcome=FAILED)
         with pytest.raises(StepAfterDone):
             self.env.step(state, FE, np.random.default_rng(0))
 
     def test_episode_invariants(self):
         for seed in range(20):
             rec = run_episode(self.env, RandomPolicy(), seed)
-            final = rec.transitions[-1].next_state
+            final = rec.final_state
+            assert all(s.done == (s.outcome is not None) for s in rec.states)
             assert rec.length <= CONFIG.max_actions
             assert final.done
             assert final.outcome in (CONFIRMED_BELOW, CONFIRMED_ABOVE, FAILED)
@@ -258,8 +256,8 @@ class TestEnvironment:
             # successful total cost is a sum of pure action costs
             if final.outcome != FAILED:
                 counts = [0, 0, 0]
-                for t in rec.transitions:
-                    counts[t.action] += 1
+                for action in rec.actions:
+                    counts[action] += 1
                 expected = (
                     counts[MEASUREMENT] * CONFIG.cost_measurement
                     + counts[FE] * CONFIG.cost_fe
@@ -271,7 +269,7 @@ class TestEnvironment:
         # a policy that only runs computer experiments cannot decide: the
         # defect and discrepancy spread alone keeps the verdict open
         rec = run_episode(self.env, FunctionPolicy(lambda s: FE), seed=0)
-        final = rec.transitions[-1].next_state
+        final = rec.final_state
         assert final.outcome == FAILED
         assert rec.total_return == pytest.approx(
             CONFIG.max_actions * CONFIG.cost_fe + CONFIG.failure_penalty
@@ -325,15 +323,14 @@ class TestEnvironment:
 
     def test_crn_seed_fixed_within_episode(self):
         rec = run_episode(self.env, RandomPolicy(), seed=3)
-        seeds = {t.next_state.crn_seed for t in rec.transitions}
+        seeds = {s.crn_seed for s in rec.states}
         assert len(seeds) == 1
 
     def test_encodings_are_canonical_float_arrays(self):
         rec = run_episode(self.env, RandomPolicy(), seed=4)
         dim = CONFIG.input_dim + 1
-        states = [rec.transitions[0].state] + [t.next_state for t in rec.transitions]
-        assert any(len(s.fe_observations) > 1 for s in states)
-        for state in states:
+        assert any(len(s.fe_observations) > 1 for s in rec.states)
+        for state in rec.states:
             elements = self.env.encode(state).elements
             # the encoding passes the state's own read-only array through
             assert elements is state.fe_observations
@@ -345,10 +342,9 @@ class TestEnvironment:
 
     def test_pf_stats_stored_once_per_state(self):
         rec = run_episode(self.env, RandomPolicy(), seed=5)
-        states = [rec.transitions[0].state] + [t.next_state for t in rec.transitions]
-        for state in states:
+        for state in rec.states:
             assert state.pf_stats == estimate_pf_stats(state, CONFIG, state.crn_seed)
-        final = states[-1]
+        final = rec.final_state
         assert final.outcome == FAILED or check_objective(
             *final.pf_stats, CONFIG.target) == final.outcome
 
@@ -360,10 +356,3 @@ class TestConfigValidation:
         state, _, _ = env.step(state, FE, np.random.default_rng(1))
         aux = env.encode(state).aux
         assert np.isfinite(aux).all() and aux[5] == 0.0
-
-    def test_basis_must_match_input_dimension(self):
-        # the basis features are the raw input coordinates
-        x = CONFIG.candidate_pool()[0]
-        assert np.array_equal(basis_features(x, CONFIG), x)
-        with pytest.raises(ValueError, match="dimension"):
-            basis_features(np.zeros(CONFIG.input_dim - 2), CONFIG)

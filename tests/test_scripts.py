@@ -18,6 +18,13 @@ def load_script(name):
     return module
 
 
+# the eval output directories of each script, one per checkpoint it trains
+EVAL_DIRS = {
+    "run_component_experiment": ["eval_compressed", "eval_set", "eval_constrained"],
+    "run_reliability_experiment": ["eval"],
+}
+
+
 @pytest.mark.parametrize("name, policies", [
     ("run_component_experiment",
      ["random", "oracle", "dqn_unconstrained", "dqn_constrained"]),
@@ -30,3 +37,7 @@ def test_script_runs_every_command(tmp_path, monkeypatch, name, policies):
     load_script(name).main()  # exits non-zero when any command fails
     with open(tmp_path / "compare" / "compare_table.csv", newline="") as fh:
         assert [row["policy"] for row in csv.DictReader(fh)] == policies
+    for directory in EVAL_DIRS[name]:
+        with open(tmp_path / directory / "episodes.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 3
+        assert (tmp_path / directory / "summary.json").exists()
