@@ -205,7 +205,8 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
                     f"non-finite Q values at episode {episode}, step {global_step + 1}"
                 )
             action = epsilon_greedy(q, mask, epsilon, train_rng)
-            state, reward, done = env.step(state, action, env_rng)
+            state, reward = env.step(state, action, env_rng)
+            done = env.done(state)
             ep_return += reward
             next_enc, next_mask = env.encode(state), env.action_mask(state)
             buffer.push(

@@ -42,6 +42,18 @@ class CoinConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
+        # every return lies in [-bound, bound] with bound = horizon times the
+        # largest stake or cost; the histograms bin that range in equal widths
+        largest = max(abs(self.use_stake), abs(self.replace_cost), abs(self.test_cost))
+        try:
+            span = 2.0 * self.horizon * largest
+        except OverflowError:  # a horizon beyond the float range
+            span = math.inf
+        if not math.isfinite(span):
+            raise ValueError(
+                "2 * horizon * max(|use_stake|, |replace_cost|, |test_cost|) "
+                "must be finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -185,7 +197,7 @@ class ComponentEnv(Environment):
             raise StepAfterDone(f"episode already ended at {state!r}")
 
         if action == TERMINATE:
-            return CoinState(state.info, state.hidden_theta, done=True), 0.0, True
+            return CoinState(state.info, state.hidden_theta, done=True), 0.0
         theta, y = state.hidden_theta, None
         if action == REPLACE:
             theta, reward = self._draw_theta(rng), cfg.replace_cost
@@ -197,8 +209,7 @@ class ComponentEnv(Environment):
         else:
             raise ValueError(f"unknown action {action}")
         info = state.info.after(action, y)
-        done = info.days_left == 0
-        return CoinState(info, theta, done), reward, done
+        return CoinState(info, theta, info.days_left == 0), reward
 
     def encode(self, state: CoinState) -> StateEncoding:
         info = state.info

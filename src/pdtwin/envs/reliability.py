@@ -139,6 +139,24 @@ class SurrogatePosterior:
 
 
 @dataclass(frozen=True, eq=False)
+class CrnNormals:
+    """Read-only standard normals behind the n_mc posterior draws of
+    (beta, d, mu_m), drawn in that order from ``default_rng(seed)``."""
+
+    beta: np.ndarray  # (n_mc, input_dim)
+    defect: np.ndarray  # (n_mc,)
+    discrepancy: np.ndarray  # (n_mc,)
+
+    @staticmethod
+    def draw(seed: int, config: ReliabilityConfig) -> "CrnNormals":
+        rng = np.random.default_rng(seed)
+        n = config.n_mc
+        beta = _read_only(rng.standard_normal((n, config.input_dim)))
+        defect = _read_only(rng.standard_normal(n))
+        return CrnNormals(beta, defect, _read_only(rng.standard_normal(n)))
+
+
+@dataclass(frozen=True, eq=False)
 class ReliabilityState:
     surrogate: SurrogatePosterior
     defect_belief: GaussianBelief
@@ -158,6 +176,14 @@ class ReliabilityState:
     # read-only predictive variance of the surrogate at every design
     # candidate; reset and FE steps set it next to the surrogate
     pool_variance: np.ndarray | None = None
+    # the episode's common random numbers, drawn once at reset from crn_seed;
+    # every state of the episode holds the same object
+    crn_normals: CrnNormals | None = None
+    # read-only per-draw halves of the p_f estimate: margins mu_m + gamma d
+    # change on measurement and lab steps, scales sqrt(beta^T beta +
+    # sigma_a^2) on FE steps; pf_stats is computed from the two
+    pf_margins: np.ndarray | None = None
+    pf_scales: np.ndarray | None = None
 
     @property
     def done(self) -> bool:
@@ -174,29 +200,44 @@ def pf_given_theta(
     return float(ndtr(-margin / scale))
 
 
-def _pf_samples(state: ReliabilityState, config: ReliabilityConfig, seed: int):
-    rng = np.random.default_rng(seed)
-    n = config.n_mc
-    cov = state.surrogate.cov_array()
-    eigval, eigvec = np.linalg.eigh(cov)
+def _pf_scales(
+    surrogate: SurrogatePosterior, normals: CrnNormals, config: ReliabilityConfig
+) -> np.ndarray:
+    """Per-draw sqrt(beta^T beta + sigma_a^2) over the surrogate posterior."""
+    eigval, eigvec = np.linalg.eigh(surrogate.cov_array())
     root = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    betas = state.surrogate.weight_mean + rng.standard_normal((n, config.input_dim)) @ root.T
-    ds = state.defect_belief.mean + state.defect_belief.sd * rng.standard_normal(n)
-    mus = (
-        state.discrepancy_belief.mean
-        + state.discrepancy_belief.sd * rng.standard_normal(n)
-    )
-    margins = mus + config.gamma * ds
-    scales = np.sqrt(np.einsum("ij,ij->i", betas, betas) + config.sigma_a**2)
-    return ndtr(-margins / scales)
+    betas = surrogate.weight_mean + normals.beta @ root.T
+    return _read_only(np.sqrt(np.einsum("ij,ij->i", betas, betas) + config.sigma_a**2))
+
+
+def _pf_margins(
+    defect: GaussianBelief,
+    discrepancy: GaussianBelief,
+    normals: CrnNormals,
+    config: ReliabilityConfig,
+) -> np.ndarray:
+    """Per-draw mu_m + gamma d over the defect and discrepancy posteriors."""
+    ds = defect.mean + defect.sd * normals.defect
+    mus = discrepancy.mean + discrepancy.sd * normals.discrepancy
+    return _read_only(mus + config.gamma * ds)
+
+
+def _pf_stats(margins: np.ndarray, scales: np.ndarray) -> tuple:
+    """(E[p_f], Std(p_f)) over the draws of p_f = Phi(-margin / scale)."""
+    pf = ndtr(-margins / scales)
+    return float(pf.mean()), float(pf.std(ddof=1))  # n_mc >= 2
 
 
 def estimate_pf_stats(
     state: ReliabilityState, config: ReliabilityConfig, seed: int
 ) -> tuple:
-    """(E[p_f], Std(p_f)) over n_mc posterior draws of (beta, d, mu_m)."""
-    pf = _pf_samples(state, config, seed)
-    return float(pf.mean()), float(pf.std(ddof=1))  # n_mc >= 2
+    """(E[p_f], Std(p_f)) over n_mc posterior draws of (beta, d, mu_m), with
+    the normals drawn from ``seed``; with ``state.crn_seed`` it equals the
+    ``pf_stats`` that the env stores on the state."""
+    normals = CrnNormals.draw(seed, config)
+    scales = _pf_scales(state.surrogate, normals, config)
+    margins = _pf_margins(state.defect_belief, state.discrepancy_belief, normals, config)
+    return _pf_stats(margins, scales)
 
 
 def check_objective(mean: float, sd: float, target: float) -> str:
@@ -254,21 +295,29 @@ class ReliabilityEnv(Environment):
         mu = cfg.prior_discrepancy_mean + np.sqrt(
             cfg.prior_discrepancy_var
         ) * rng.standard_normal()
-        state = ReliabilityState(
-            surrogate=SurrogatePosterior.prior(cfg),
-            defect_belief=GaussianBelief(cfg.prior_defect_mean, cfg.prior_defect_var),
-            discrepancy_belief=GaussianBelief(
-                cfg.prior_discrepancy_mean, cfg.prior_discrepancy_var
-            ),
+        crn_seed = int(rng.integers(2**63))
+        normals = CrnNormals.draw(crn_seed, cfg)
+        surrogate = SurrogatePosterior.prior(cfg)
+        defect = GaussianBelief(cfg.prior_defect_mean, cfg.prior_defect_var)
+        discrepancy = GaussianBelief(cfg.prior_discrepancy_mean, cfg.prior_discrepancy_var)
+        margins = _pf_margins(defect, discrepancy, normals, cfg)
+        scales = _pf_scales(surrogate, normals, cfg)
+        return ReliabilityState(
+            surrogate=surrogate,
+            defect_belief=defect,
+            discrepancy_belief=discrepancy,
             fe_observations=_read_only(np.empty((0, self.element_dim))),
             actions_taken=0,
-            crn_seed=int(rng.integers(2**63)),
+            crn_seed=crn_seed,
             true_beta=_read_only(beta),
             true_defect=float(d),
             true_discrepancy=float(mu),
+            pf_stats=_pf_stats(margins, scales),
             pool_variance=self._prior_pool_variance,
+            crn_normals=normals,
+            pf_margins=margins,
+            pf_scales=scales,
         )
-        return replace(state, pf_stats=estimate_pf_stats(state, cfg, state.crn_seed))
 
     def action_mask(self, state) -> np.ndarray:
         return np.ones(self.action_count, dtype=bool)
@@ -278,21 +327,31 @@ class ReliabilityEnv(Environment):
         if state.done:
             raise StepAfterDone(f"episode already ended with {state.outcome!r}")
 
+        # a step changes one half of the p_f estimate; the other is reused
+        margins, scales = state.pf_margins, state.pf_scales
         if action == MEASUREMENT:
             obs = state.true_defect + np.sqrt(
                 cfg.measurement_noise_var
             ) * rng.standard_normal()
-            changes = {"defect_belief": gaussian_condition(
+            defect = gaussian_condition(
                 state.defect_belief, float(obs), cfg.measurement_noise_var
-            )}
+            )
+            margins = _pf_margins(
+                defect, state.discrepancy_belief, state.crn_normals, cfg
+            )
+            changes = {"defect_belief": defect}
             reward = cfg.cost_measurement
         elif action == LAB:
             obs = state.true_discrepancy + np.sqrt(
                 cfg.lab_noise_var
             ) * rng.standard_normal()
-            changes = {"discrepancy_belief": gaussian_condition(
+            discrepancy = gaussian_condition(
                 state.discrepancy_belief, float(obs), cfg.lab_noise_var
-            )}
+            )
+            margins = _pf_margins(
+                state.defect_belief, discrepancy, state.crn_normals, cfg
+            )
+            changes = {"discrepancy_belief": discrepancy}
             reward = cfg.cost_lab
         elif action == FE:
             x = select_fe_input(self.pool, state.pool_variance)
@@ -302,6 +361,7 @@ class ReliabilityEnv(Environment):
             )
             rows = np.vstack([state.fe_observations, np.append(x, y)])
             surrogate = state.surrogate.observe(x, y, cfg.fe_noise_var)
+            scales = _pf_scales(surrogate, state.crn_normals, cfg)
             changes = {
                 "surrogate": surrogate,
                 "pool_variance": self._pool_variance(surrogate),
@@ -311,14 +371,21 @@ class ReliabilityEnv(Environment):
         else:
             raise ValueError(f"unknown action {action}")
 
-        new_state = replace(state, actions_taken=state.actions_taken + 1, **changes)
-        stats = estimate_pf_stats(new_state, cfg, new_state.crn_seed)
+        actions_taken = state.actions_taken + 1
+        stats = _pf_stats(margins, scales)
         verdict = check_objective(*stats, cfg.target)
-        if verdict == UNDECIDED and new_state.actions_taken >= cfg.max_actions:
+        if verdict == UNDECIDED and actions_taken >= cfg.max_actions:
             verdict, reward = FAILED, reward + cfg.failure_penalty
-        outcome = None if verdict == UNDECIDED else verdict
-        new_state = replace(new_state, pf_stats=stats, outcome=outcome)
-        return new_state, reward, new_state.done
+        next_state = replace(
+            state,
+            actions_taken=actions_taken,
+            outcome=None if verdict == UNDECIDED else verdict,
+            pf_stats=stats,
+            pf_margins=margins,
+            pf_scales=scales,
+            **changes,
+        )
+        return next_state, reward
 
     def surrogate_spread(self, state: ReliabilityState) -> float:
         """Largest remaining predictive sd over the design pool, in [0, 1]

@@ -56,7 +56,8 @@ class Environment(abc.ABC):
 
     @abc.abstractmethod
     def step(self, state, action: int, rng: np.random.Generator):
-        """Advance one step; returns (next_state, reward, done)."""
+        """Advance one step; returns (next_state, reward). ``done`` tells
+        whether the episode ended at next_state."""
 
     def done(self, state) -> bool:
         """Whether the episode has ended at ``state``."""
@@ -158,15 +159,14 @@ def run_episode(env: Environment, policy: Policy, seed: int) -> EpisodeRecord:
     state = env.reset(rng)
     states, actions, rewards = [state], [], []
     total = 0.0
-    done = env.done(state)
-    while not done:
+    while not env.done(state):
         mask = env.action_mask(state)
         action = policy.act(state, mask, rng)
         if not mask[action]:
             raise PolicyReturnedMaskedAction(
                 f"action {action} is masked in state {state!r}"
             )
-        state, reward, done = env.step(state, action, rng)
+        state, reward = env.step(state, action, rng)
         states.append(state)
         actions.append(action)
         rewards.append(reward)

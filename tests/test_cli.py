@@ -295,6 +295,16 @@ class TestParsing:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_component_stake_too_large_to_bin_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"env": {"component": {"use_stake": 1e308}}}))
+        out = tmp_path / "o"
+        code = run(["compare", "--env", "component", "--episodes", "3",
+                    "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
         capsys.readouterr()

@@ -127,42 +127,42 @@ class TestCoinStep:
 
     def test_terminate(self):
         state = make_state(0, 0, 10)
-        nxt, reward, done = self.env.step(state, TERMINATE, FixedRng())
-        assert (reward, done) == (0.0, True)
+        nxt, reward = self.env.step(state, TERMINATE, FixedRng())
+        assert (reward, self.env.done(nxt)) == (0.0, True)
         assert nxt.info == TabularState(0, 0, 10)
 
     def test_test_success(self):
         state = make_state(0, 0, 10)
-        nxt, reward, done = self.env.step(state, TEST, FixedRng(0.2))  # 0.2 < 0.5
+        nxt, reward = self.env.step(state, TEST, FixedRng(0.2))  # 0.2 < 0.5
         assert reward == -10_000.0
-        assert nxt.info == TabularState(1, 0, 9) and not done
+        assert nxt.info == TabularState(1, 0, 9) and not self.env.done(nxt)
 
     def test_test_failure(self):
         state = make_state(0, 0, 10)
-        nxt, reward, _ = self.env.step(state, TEST, FixedRng(0.9))
+        nxt, reward = self.env.step(state, TEST, FixedRng(0.9))
         assert nxt.info == TabularState(0, 1, 9)
         assert reward == -10_000.0
 
     def test_replace_resets_belief(self):
         state = make_state(3, 0, 5, theta=0.99)
-        nxt, reward, done = self.env.step(state, REPLACE, FixedRng(0.3))
+        nxt, reward = self.env.step(state, REPLACE, FixedRng(0.3))
         assert reward == -100_000.0
-        assert nxt.info == TabularState(0, 0, 4) and not done
+        assert nxt.info == TabularState(0, 0, 4) and not self.env.done(nxt)
         assert nxt.hidden_theta == 0.5  # 0.3 < prior_bad draws the bad one
 
     def test_use_win_and_lose(self):
         state = make_state(0, 0, 10)
-        nxt, reward, _ = self.env.step(state, USE, FixedRng(0.1))
+        nxt, reward = self.env.step(state, USE, FixedRng(0.1))
         assert reward == 1_000_000.0
         assert nxt.info == TabularState(1, 0, 9)
-        nxt, reward, _ = self.env.step(state, USE, FixedRng(0.99))
+        nxt, reward = self.env.step(state, USE, FixedRng(0.99))
         assert reward == -1_000_000.0
         assert nxt.info == TabularState(0, 1, 9)
 
     def test_last_day_ends_episode(self):
         state = make_state(0, 0, 1)
-        _, _, done = self.env.step(state, TEST, FixedRng(0.1))
-        assert done
+        nxt, _ = self.env.step(state, TEST, FixedRng(0.1))
+        assert self.env.done(nxt)
 
     def test_step_after_done(self):
         state = make_state(0, 0, 0)
@@ -184,9 +184,9 @@ class TestSuccessorRule:
                 reached = set()
                 # u = 0 forces Y = 0, u = 1 forces Y = 1 (Replace draws the type)
                 for u in (0.0, 1.0):
-                    nxt, _, done = env.step(CoinState(info, 0.5), action, FixedRng(u))
+                    nxt, _ = env.step(CoinState(info, 0.5), action, FixedRng(u))
                     if action == TERMINATE:
-                        assert done and nxt.info == info
+                        assert env.done(nxt) and nxt.info == info
                     else:
                         reached.add(nxt.info)
                 assert reached == looked_up, (info, action)

@@ -119,6 +119,8 @@ class TestValidation:
         ("component", {"use_stake": float("nan")}),  # json.dumps writes NaN
         ("reliability", {"gamma": float("inf")}),  # and Infinity
         ("train", {"learning_rate": float("inf")}),
+        ("component", {"horizon": 1, "use_stake": 1e308}),  # returns span inf
+        ("component", {"horizon": 10**400}),  # no float holds it
     ])
     def test_rejects_bad_values(self, tmp_path, section, values):
         raw = {"train": values} if section == "train" else {"env": {section: values}}

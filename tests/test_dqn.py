@@ -23,7 +23,7 @@ class BanditEnv(Environment):
         return 0
 
     def step(self, state, action, rng):
-        return 1, 1.0 if action == 1 else 0.0, True
+        return 1, 1.0 if action == 1 else 0.0
 
     def done(self, state):
         return state == 1
@@ -236,7 +236,7 @@ class TestTraining:
     def test_divergence_detection(self):
         class NanEnv(BanditEnv):
             def step(self, state, action, rng):
-                return 1, float("nan"), True
+                return 1, float("nan")
 
         cfg = TrainConfig(episodes=50, warmup=8, batch_size=8)
         with pytest.raises(DivergenceDetected):

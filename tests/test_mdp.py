@@ -27,7 +27,7 @@ class TwoStepEnv(Environment):
         return 0
 
     def step(self, state, action, rng):
-        return state + 1, float(state + 1), state + 1 >= 2
+        return state + 1, float(state + 1)
 
     def done(self, state):
         return state >= 2

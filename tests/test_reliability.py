@@ -208,19 +208,19 @@ class TestEnvironment:
         rng = np.random.default_rng(0)
         state = fresh_state()
         for action, cost in ((MEASUREMENT, -10.0), (LAB, -1.0), (FE, -0.1)):
-            _, reward, done = self.env.step(state, action, rng)
-            if not done:
+            nxt, reward = self.env.step(state, action, rng)
+            if not self.env.done(nxt):
                 assert reward == cost
 
     def test_measurement_tightens_defect_belief(self):
         state = fresh_state()
-        nxt, _, _ = self.env.step(state, MEASUREMENT, np.random.default_rng(0))
+        nxt, _ = self.env.step(state, MEASUREMENT, np.random.default_rng(0))
         assert nxt.defect_belief.variance < state.defect_belief.variance
         assert nxt.discrepancy_belief == state.discrepancy_belief
 
     def test_fe_appends_observation(self):
         state = fresh_state()
-        nxt, _, _ = self.env.step(state, FE, np.random.default_rng(0))
+        nxt, _ = self.env.step(state, FE, np.random.default_rng(0))
         assert nxt.fe_observations.shape == (1, CONFIG.input_dim + 1)
         assert not nxt.fe_observations.flags.writeable
 
@@ -232,8 +232,8 @@ class TestEnvironment:
             expected = state.surrogate.predictive_variance(pool)
             assert np.array_equal(state.pool_variance, expected)
             assert not state.pool_variance.flags.writeable
-            state, _, done = self.env.step(state, action, rng)
-            if done:
+            state, _ = self.env.step(state, action, rng)
+            if self.env.done(state):
                 break
 
     def test_step_after_done(self):
@@ -285,7 +285,7 @@ class TestEnvironment:
              0.0, 1.0]
         )
         assert enc.aux[6:] == pytest.approx(self.env.objective_margins(state))
-        nxt, _, _ = self.env.step(state, FE, np.random.default_rng(0))
+        nxt, _ = self.env.step(state, FE, np.random.default_rng(0))
         enc2 = self.env.encode(nxt)
         assert len(enc2.elements) == 1
         assert enc2.aux[4] == pytest.approx(1.0 / CONFIG.max_actions)
@@ -309,8 +309,8 @@ class TestEnvironment:
         state = fresh_state()
         rng = np.random.default_rng(0)
         for _ in range(CONFIG.input_dim):
-            state, _, done = self.env.step(state, FE, rng)
-            if done:
+            state, _ = self.env.step(state, FE, rng)
+            if self.env.done(state):
                 return
         assert self.env.surrogate_spread(state) < 0.01
 
@@ -349,10 +349,41 @@ class TestEnvironment:
             *final.pf_stats, CONFIG.target) == final.outcome
 
 
+class TestCachedEstimator:
+    """The env computes each state's (E, Std) from the episode's normals and
+    the margins and scales it keeps; each must equal a fresh estimate."""
+
+    @pytest.mark.parametrize("changes", [
+        {},
+        {"prior_beta_var": 0.0},
+        {"prior_defect_var": 0.0},
+        {"prior_discrepancy_var": 0.0},
+        {"sigma_a": 0.0},
+        {"n_mc": 2},
+    ])
+    def test_stored_stats_equal_a_fresh_estimate(self, changes):
+        cfg = ReliabilityConfig(**changes)
+        env = ReliabilityEnv(cfg)
+        cycle = FunctionPolicy(lambda s: (MEASUREMENT, FE, LAB)[s.actions_taken % 3])
+        taken = set()
+        for seed in range(6):
+            rec = run_episode(env, cycle, seed)
+            taken.update(rec.actions)
+            normals = rec.states[0].crn_normals
+            for arr in (normals.beta, normals.defect, normals.discrepancy):
+                assert not arr.flags.writeable
+            for state in rec.states:
+                assert state.crn_normals is normals
+                assert not state.pf_margins.flags.writeable
+                assert not state.pf_scales.flags.writeable
+                assert state.pf_stats == estimate_pf_stats(state, cfg, state.crn_seed)
+        assert taken == {MEASUREMENT, FE, LAB}
+
+
 class TestConfigValidation:
     def test_known_surrogate_has_zero_spread(self):
         env = ReliabilityEnv(ReliabilityConfig(prior_beta_var=0.0))
         state = env.reset(np.random.default_rng(0))
-        state, _, _ = env.step(state, FE, np.random.default_rng(1))
+        state, _ = env.step(state, FE, np.random.default_rng(1))
         aux = env.encode(state).aux
         assert np.isfinite(aux).all() and aux[5] == 0.0
