@@ -108,13 +108,13 @@ def _reliability_episodes(path, summary, base_seed) -> tuple:
     """Write one row per reliability episode: seed, success, outcome, total
     cost and the count of each action type. Returns the success rate and the
     mean total cost of the successful episodes (None if none)."""
-    success = [state.outcome != FAILED for state in summary.final_states]
+    success = [outcome != FAILED for outcome in summary.outcomes]
     write_csv(
         path, ["seed", "success", "outcome", "total_cost",
                "n_measurement", "n_fe", "n_lab"],
-        ([base_seed + i, int(ok), state.outcome, repr(ret), *counts]
-         for i, (ok, state, ret, counts) in enumerate(zip(
-             success, summary.final_states, summary.returns,
+        ([base_seed + i, int(ok), outcome, repr(ret), *counts]
+         for i, (ok, outcome, ret, counts) in enumerate(zip(
+             success, summary.outcomes, summary.returns,
              summary.action_counts.tolist()))),
     )
     costs = [ret for ok, ret in zip(success, summary.returns) if ok]
@@ -199,7 +199,6 @@ def _compare_component(args, run_config, out, n) -> None:
         )
         bin_columns.append(summary.bin_counts)
         edges = summary.bin_edges  # the same for every policy: one bin_range
-        del summary  # it holds every final state; free them before the next block
     write_csv(out / "compare_table.csv", ["policy", "mean", "sd", "min", "max"],
               table_rows)
     write_csv(
@@ -229,7 +228,6 @@ def _compare_reliability(args, run_config, out, n) -> None:
             [name, repr(rate), "" if mean_cost is None else repr(mean_cost)]
             + [repr(float(column.mean())) for column in summary.action_counts.T]
         )
-        del summary  # it holds every final state; free them before the next block
     write_csv(
         out / "compare_table.csv",
         ["policy", "success_rate", "mean_cost_successful",

@@ -124,16 +124,29 @@ class ReplayBuffer:
 
 
 def epsilon_greedy(
-    q_values: np.ndarray, mask: np.ndarray, epsilon: float, rng: np.random.Generator
-) -> int:
-    """Explore uniformly over legal actions with probability epsilon, else argmax."""
-    legal = np.flatnonzero(mask)
-    if len(legal) == 0:
-        raise NoLegalAction("action mask admits no action")
-    if rng.random() < epsilon:
-        return int(legal[rng.integers(len(legal))])
-    masked_q = np.where(mask, q_values, -np.inf)
-    return int(np.argmax(masked_q))  # ties resolve to the lowest index
+    q_values: np.ndarray, masks: np.ndarray, epsilon: float, rngs: list
+) -> np.ndarray:
+    """One action per row of the (B, A) ``q_values`` and ``masks``: with
+    probability epsilon uniform over the row's legal actions, else its masked
+    argmax. Row j draws one ``random()`` from ``rngs[j]``, and one ``integers``
+    more only when it explores; the argmax is taken only over rows that do not."""
+    actions = np.empty(len(rngs), dtype=np.int64)
+    greedy = []
+    for j, rng in enumerate(rngs):
+        if rng.random() < epsilon:
+            legal = np.flatnonzero(masks[j])
+            if len(legal) == 0:
+                raise NoLegalAction("action mask admits no action")
+            actions[j] = legal[rng.integers(len(legal))]
+        else:
+            greedy.append(j)
+    if greedy:
+        rows = slice(None) if len(greedy) == len(rngs) else greedy
+        if not masks[rows].any(axis=1).all():
+            raise NoLegalAction("action mask admits no action")
+        # ties resolve to the lowest index
+        actions[rows] = np.argmax(np.where(masks[rows], q_values[rows], -np.inf), axis=1)
+    return actions
 
 
 def td_target(reward, done, next_q: np.ndarray, next_mask: np.ndarray, discount):
@@ -153,13 +166,13 @@ class QPolicy(Policy):
         self.net = net
         self.env = env
 
-    def q_values(self, state) -> np.ndarray:
-        enc = self.env.encode(state)
-        return self.net.forward(enc.elements, enc.aux)
-
-    def act(self, state, mask, rng) -> int:
-        # draws from rng even at epsilon 0; the episode's env steps share rng
-        return epsilon_greedy(self.q_values(state), mask, 0.0, rng)
+    def act(self, states, masks, rngs) -> np.ndarray:
+        encodings = [self.env.encode(state) for state in states]
+        batch = SetBatch([enc.elements for enc in encodings],
+                         np.array([enc.aux for enc in encodings]))
+        q, _ = self.net.forward_batch(batch)
+        # draws from each rng even at epsilon 0; the episode's env steps share it
+        return epsilon_greedy(q, masks, 0.0, rngs)
 
 
 @dataclass
@@ -204,7 +217,7 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
                 raise DivergenceDetected(
                     f"non-finite Q values at episode {episode}, step {global_step + 1}"
                 )
-            action = epsilon_greedy(q, mask, epsilon, train_rng)
+            action = int(epsilon_greedy(q[None], mask[None], epsilon, [train_rng])[0])
             state, reward = env.step(state, action, env_rng)
             done = env.done(state)
             ep_return += reward

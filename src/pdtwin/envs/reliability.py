@@ -322,6 +322,9 @@ class ReliabilityEnv(Environment):
     def action_mask(self, state) -> np.ndarray:
         return np.ones(self.action_count, dtype=bool)
 
+    def outcome(self, state: ReliabilityState) -> str | None:
+        return state.outcome
+
     def step(self, state: ReliabilityState, action: int, rng):
         cfg = self.config
         if state.done:

@@ -2,8 +2,13 @@
 
 Environments expose a generative model: a seeded ``step`` function instead of
 explicit transition matrices. Episodes are reproducible bit-exactly from their
-integer seed; ``evaluate_policy`` assigns episode i the seed ``base_seed + i``
-so results are independent of execution order.
+integer seed; ``evaluate_policy`` assigns episode i the seed ``base_seed + i``.
+Every episode draws from its own generator, so ``evaluate_policy`` can play a
+block of them side by side and ask the policy for all their actions at once;
+each episode then makes the same draws as it does alone. A policy that reads
+a network sees Q values equal only up to last-bit BLAS differences between
+batch sizes, so its actions match those of the episode alone unless the top
+two Q values are within rounding error of each other.
 """
 
 from __future__ import annotations
@@ -63,6 +68,10 @@ class Environment(abc.ABC):
         """Whether the episode has ended at ``state``."""
         return state.done
 
+    def outcome(self, state):
+        """How an ended episode ended, when the game names it; else None."""
+        return None
+
     @abc.abstractmethod
     def action_mask(self, state) -> np.ndarray:
         """Boolean vector, True where the action is currently allowed."""
@@ -73,19 +82,27 @@ class Environment(abc.ABC):
 
 
 class Policy(abc.ABC):
-    """Maps a state and its action mask to an action index."""
+    """Maps states and their action masks to action indices, a batch at a time.
+
+    ``act`` gets B states, their masks as one (B, action_count) bool array and
+    each state's episode generator, and returns B actions. Row j draws from
+    its generator what it would draw alone, whatever the batch.
+    """
 
     @abc.abstractmethod
-    def act(self, state, mask: np.ndarray, rng: np.random.Generator) -> int:
+    def act(self, states: list, masks: np.ndarray, rngs: list):
         ...
 
 
 class RandomPolicy(Policy):
     """Uniform over the currently unmasked actions."""
 
-    def act(self, state, mask, rng):
-        legal = np.flatnonzero(mask)
-        return int(legal[rng.integers(len(legal))])
+    def act(self, states, masks, rngs):
+        actions = []
+        for mask, rng in zip(masks, rngs):
+            legal = np.flatnonzero(mask)
+            actions.append(int(legal[rng.integers(len(legal))]))
+        return actions
 
 
 class FunctionPolicy(Policy):
@@ -94,8 +111,8 @@ class FunctionPolicy(Policy):
     def __init__(self, fn: Callable[[Any], int]):
         self.fn = fn
 
-    def act(self, state, mask, rng):
-        return self.fn(state)
+    def act(self, states, masks, rngs):
+        return [self.fn(state) for state in states]
 
 
 @dataclass(frozen=True)
@@ -125,7 +142,7 @@ class EpisodeRecord:
 @dataclass(frozen=True)
 class EvalSummary:
     """Statistics of a seeded episode block, and per episode its return,
-    length, count of each action and final state."""
+    length, count of each action and outcome (``Environment.outcome``)."""
 
     mean: float
     sd: float
@@ -135,7 +152,7 @@ class EvalSummary:
     bin_counts: tuple
     returns: tuple
     action_counts: np.ndarray  # (n_episodes, action_count) ints
-    final_states: tuple
+    outcomes: tuple
 
     @property
     def lengths(self) -> tuple:
@@ -153,20 +170,37 @@ class EvalSummary:
         }
 
 
+# episodes evaluate_policy plays side by side; bounds its live generators and states
+EVAL_BLOCK = 256
+
+
+def _play(env: Environment, policy: Policy, states: list, rngs: list):
+    """Step the episodes at ``states`` side by side, in place, until every one
+    is done; yields ``(j, action, reward, next_state)`` for each step of
+    episode j. Each round makes one ``policy.act`` call over the live
+    episodes, then steps each of them with its own generator.
+    """
+    live = [j for j, state in enumerate(states) if not env.done(state)]
+    while live:
+        masks = np.array([env.action_mask(states[j]) for j in live])
+        actions = policy.act([states[j] for j in live], masks, [rngs[j] for j in live])
+        for j, mask, action in zip(live, masks, actions):
+            if not mask[action]:
+                raise PolicyReturnedMaskedAction(
+                    f"action {action} is masked in state {states[j]!r}"
+                )
+            action = int(action)
+            states[j], reward = env.step(states[j], action, rngs[j])
+            yield j, action, reward, states[j]
+        live = [j for j in live if not env.done(states[j])]
+
+
 def run_episode(env: Environment, policy: Policy, seed: int) -> EpisodeRecord:
     """Simulate one seeded episode and sum its rewards."""
     rng = np.random.default_rng(seed)
-    state = env.reset(rng)
-    states, actions, rewards = [state], [], []
+    states, actions, rewards = [env.reset(rng)], [], []
     total = 0.0
-    while not env.done(state):
-        mask = env.action_mask(state)
-        action = policy.act(state, mask, rng)
-        if not mask[action]:
-            raise PolicyReturnedMaskedAction(
-                f"action {action} is masked in state {state!r}"
-            )
-        state, reward = env.step(state, action, rng)
+    for _, action, reward, state in _play(env, policy, states[:1], [rng]):
         states.append(state)
         actions.append(action)
         rewards.append(reward)
@@ -183,18 +217,26 @@ def evaluate_policy(
 ) -> EvalSummary:
     """Run ``n_episodes`` seeded episodes and summarize them.
 
-    Episode i uses seed ``base_seed + i``. Returns are counted in 50 bins
-    over ``bin_range`` (default: their min to max). With a single episode
-    the sd is reported as 0.
+    Episode i uses seed ``base_seed + i`` and makes the draws ``run_episode``
+    makes at that seed; blocks of ``EVAL_BLOCK`` episodes run side by side, so
+    a network's Q values may differ from ``run_episode``'s in the last bits
+    (see the module docstring). Returns are
+    counted in 50 bins over ``bin_range`` (default: their min to max). With a
+    single episode the sd is reported as 0.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    returns, final_states, action_counts = [], [], []
-    for i in range(n_episodes):
-        rec = run_episode(env, policy, base_seed + i)
-        returns.append(rec.total_return)
-        final_states.append(rec.final_state)
-        action_counts.append(np.bincount(rec.actions, minlength=env.action_count))
+    returns = [0.0] * n_episodes
+    action_counts = np.zeros((n_episodes, env.action_count), dtype=np.int64)
+    outcomes = []
+    for start in range(0, n_episodes, EVAL_BLOCK):
+        rngs = [np.random.default_rng(base_seed + i)
+                for i in range(start, min(start + EVAL_BLOCK, n_episodes))]
+        states = [env.reset(rng) for rng in rngs]
+        for j, action, reward, _ in _play(env, policy, states, rngs):
+            returns[start + j] += reward  # in order, as run_episode sums
+            action_counts[start + j, action] += 1
+        outcomes.extend(env.outcome(state) for state in states)
     arr = np.asarray(returns)
     sd = float(arr.std(ddof=1)) if n_episodes > 1 else 0.0
     lo, hi = (float(arr.min()), float(arr.max())) if bin_range is None else bin_range
@@ -209,8 +251,8 @@ def evaluate_policy(
         bin_edges=tuple(float(e) for e in edges),
         bin_counts=tuple(int(c) for c in counts),
         returns=tuple(float(r) for r in returns),
-        action_counts=np.array(action_counts, dtype=np.int64),
-        final_states=tuple(final_states),
+        action_counts=action_counts,
+        outcomes=tuple(outcomes),
     )
 
 

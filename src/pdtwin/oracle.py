@@ -16,7 +16,7 @@ from typing import Callable
 
 from .envs.component import (
     REPLACE, TERMINATE, TEST,
-    CoinConfig, CoinState, TabularState,
+    CoinConfig, TabularState,
     belief_psi, component_mask, expected_use_reward, success_probability,
 )
 from .mdp import Policy, PolicyReturnedMaskedAction, write_csv
@@ -125,8 +125,8 @@ class OraclePolicy(Policy):
     def __init__(self, table: ValueTable):
         self.table = table
 
-    def act(self, state: CoinState, mask, rng) -> int:
-        return self.table.actions[state.info]
+    def act(self, states: list, masks, rngs) -> list:
+        return [self.table.actions[state.info] for state in states]
 
 
 def table_to_csv(path, table: ValueTable) -> None:

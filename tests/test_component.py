@@ -252,9 +252,10 @@ class TestEpisodeInvariants:
         summary = evaluate_policy(env, never, 3, base_seed=5)
         assert summary.lengths == (0, 0, 0)
         assert summary.action_counts.tolist() == [[0] * 4] * 3
-        assert summary.final_states == tuple(
-            env.reset(np.random.default_rng(5 + i)) for i in range(3)
-        )
+        assert summary.outcomes == (None, None, None)
+        for i in range(3):  # each final state is its reset state
+            final = run_episode(env, never, 5 + i).final_state
+            assert final == env.reset(np.random.default_rng(5 + i))
 
 
 def _random_policy():

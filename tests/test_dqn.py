@@ -35,6 +35,12 @@ class BanditEnv(Environment):
         return StateEncoding((), np.array([1.0]))
 
 
+def start_q(policy):
+    """Q values the policy's network gives the bandit's start state."""
+    enc = BanditEnv().encode(0)
+    return policy.net.forward(enc.elements, enc.aux)
+
+
 class TestTrainConfig:
     def test_epsilon_schedule_endpoints(self):
         cfg = TrainConfig(episodes=100)
@@ -96,36 +102,60 @@ class TestReplayBuffer:
         assert idx.tolist() == [0] and buf.reward[0] == 70.0
 
 
+def greedy_one(q, mask, epsilon, rng):
+    """epsilon_greedy on a batch of one row."""
+    return int(epsilon_greedy(np.array([q]), np.array([mask]), epsilon, [rng])[0])
+
+
 class TestEpsilonGreedy:
     def test_greedy_respects_mask(self):
         q = np.array([10.0, 1.0, 5.0])
         mask = np.array([False, True, True])
         rng = np.random.default_rng(0)
-        assert epsilon_greedy(q, mask, 0.0, rng) == 2
+        assert greedy_one(q, mask, 0.0, rng) == 2
 
     def test_tie_breaks_to_lowest_index(self):
         q = np.array([3.0, 3.0, 1.0])
         mask = np.ones(3, dtype=bool)
-        assert epsilon_greedy(q, mask, 0.0, np.random.default_rng(0)) == 0
+        assert greedy_one(q, mask, 0.0, np.random.default_rng(0)) == 0
 
     def test_exploration_only_picks_legal(self):
         q = np.zeros(3)
         mask = np.array([False, True, False])
         rng = np.random.default_rng(0)
-        assert all(epsilon_greedy(q, mask, 1.0, rng) == 1 for _ in range(20))
+        assert all(greedy_one(q, mask, 1.0, rng) == 1 for _ in range(20))
 
     def test_all_masked_raises(self):
         with pytest.raises(NoLegalAction):
-            epsilon_greedy(np.zeros(2), np.zeros(2, dtype=bool),
-                           0.5, np.random.default_rng(0))
+            greedy_one(np.zeros(2), np.zeros(2, dtype=bool),
+                       0.5, np.random.default_rng(0))
+
+    def test_any_row_all_masked_raises(self):
+        masks = np.array([[True, False], [False, False], [False, True]])
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        with pytest.raises(NoLegalAction):
+            epsilon_greedy(np.zeros((3, 2)), masks, 0.0, rngs)
 
     def test_exploration_rate(self):
         q = np.array([1.0, 0.0])
         mask = np.ones(2, dtype=bool)
         rng = np.random.default_rng(1)
-        picks = [epsilon_greedy(q, mask, 0.5, rng) for _ in range(2000)]
+        picks = [greedy_one(q, mask, 0.5, rng) for _ in range(2000)]
         # greedy action 0 chosen with probability 1 - eps + eps/2 = 0.75
         assert np.mean(np.array(picks) == 0) == pytest.approx(0.75, abs=0.05)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+    def test_batch_equals_rows_one_at_a_time(self, epsilon):
+        data = np.random.default_rng(8)
+        q = data.standard_normal((50, 4))
+        q[:10, 1] = q[:10, 2]  # ties
+        masks = data.random((50, 4)) < 0.6
+        masks[np.arange(50), data.integers(4, size=50)] = True
+        batched = epsilon_greedy(
+            q, masks, epsilon, [np.random.default_rng(i) for i in range(50)])
+        rows = [greedy_one(q[i], masks[i], epsilon, np.random.default_rng(i))
+                for i in range(50)]
+        assert batched.tolist() == rows
 
 
 class TestTdTarget:
@@ -169,7 +199,7 @@ class TestTraining:
     def test_learns_the_bandit(self):
         cfg = TrainConfig(episodes=300, warmup=32, batch_size=16, seed=0)
         result = train(BanditEnv(), cfg)
-        q = result.policy.q_values(0)
+        q = start_q(result.policy)
         assert int(np.argmax(q)) == 1
         assert q[1] == pytest.approx(1.0, abs=0.05)
 
@@ -195,7 +225,7 @@ class TestTraining:
     def test_double_dqn_also_learns(self):
         cfg = TrainConfig(episodes=300, warmup=32, batch_size=16, double_dqn=True)
         result = train(BanditEnv(), cfg)
-        assert int(np.argmax(result.policy.q_values(0))) == 1
+        assert int(np.argmax(start_q(result.policy))) == 1
 
     def test_snapshot_selection_records_scores(self):
         cfg = TrainConfig(
@@ -205,7 +235,7 @@ class TestTraining:
         result = train(BanditEnv(), cfg)
         assert [ep for ep, _ in result.snapshot_scores] == [20, 40, 60, 80, 100]
         assert all(np.isfinite(s) for _, s in result.snapshot_scores)
-        assert int(np.argmax(result.policy.q_values(0))) == 1
+        assert int(np.argmax(start_q(result.policy))) == 1
 
     def test_snapshot_selection_is_deterministic(self):
         cfg = TrainConfig(
@@ -273,18 +303,23 @@ class TestQPolicy:
     def test_greedy_policy_is_deterministic(self):
         result = train(BanditEnv(), TrainConfig(episodes=100, warmup=16))
         policy = result.policy
-        acts = {policy.act(0, np.ones(3, dtype=bool), np.random.default_rng(i))
+        acts = {int(policy.act([0], np.ones((1, 3), dtype=bool),
+                               [np.random.default_rng(i)])[0])
                 for i in range(10)}
         assert len(acts) == 1
 
     def test_act_draws_once_from_rng(self):
-        # run_episode steps the environment with the policy's rng, so every
-        # evaluation stream depends on this one draw per greedy action
+        # each episode's environment steps draw from the rng the policy gets
+        # for it, so every evaluation stream depends on exactly one draw per
+        # greedy action, whatever the batch
         policy = train(BanditEnv(), TrainConfig(episodes=20, warmup=16)).policy
-        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
-        policy.act(0, np.ones(3, dtype=bool), rng)
-        reference.random()
-        assert rng.random() == reference.random()
+        rngs = [np.random.default_rng(5 + j) for j in range(3)]
+        references = [np.random.default_rng(5 + j) for j in range(3)]
+        actions = policy.act([0, 0, 0], np.ones((3, 3), dtype=bool), rngs)
+        assert len(actions) == 3
+        for rng, reference in zip(rngs, references):
+            reference.random()
+            assert rng.random() == reference.random()
 
 
 @pytest.mark.slow

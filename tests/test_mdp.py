@@ -4,13 +4,18 @@ import json
 import numpy as np
 import pytest
 
-from pdtwin.envs.component import TERMINATE, USE, ComponentEnv
-from pdtwin.envs.reliability import ReliabilityEnv
+from pdtwin.dqn import QPolicy
+from pdtwin.envs.component import TERMINATE, USE, CoinConfig, ComponentEnv
+from pdtwin.envs.reliability import (
+    ReliabilityConfig, ReliabilityEnv, benchmark_policy_action,
+)
 from pdtwin.mdp import (
-    Environment, EpisodeRecord, FunctionPolicy,
+    EVAL_BLOCK, Environment, EpisodeRecord, FunctionPolicy, Policy,
     PolicyReturnedMaskedAction, RandomPolicy, StateEncoding,
     evaluate_policy, run_episode, write_csv, write_json,
 )
+from pdtwin.nets import DeepSetsNet
+from pdtwin.oracle import OraclePolicy, backward_induction
 
 
 class TwoStepEnv(Environment):
@@ -40,6 +45,129 @@ class TwoStepEnv(Environment):
 
     def encode(self, state):
         return StateEncoding((), np.array([float(state)]))
+
+
+class StaggeredEnv(Environment):
+    """Episodes of 0 to ``longest`` steps, the length drawn at reset; each
+    step draws its reward from the episode's rng. Action 1 is masked at the
+    third step. A state is (steps left, steps taken)."""
+
+    action_count = 2
+    element_dim = 1
+    aux_dim = 2
+
+    def __init__(self, longest=6):
+        self.longest = longest
+
+    def reset(self, rng):
+        return (int(rng.integers(self.longest + 1)), 0)
+
+    def step(self, state, action, rng):
+        left, taken = state
+        return (left - 1, taken + 1), float(rng.random()) + action
+
+    def done(self, state):
+        return state[0] == 0
+
+    def action_mask(self, state):
+        return np.array([True, state[1] != 2])
+
+    def encode(self, state):
+        return StateEncoding(np.empty((0, 1)), np.array(state, dtype=float))
+
+
+class RecordingPolicy(Policy):
+    """Plays action 0 and records the size of every batch it is asked about;
+    fails on a done state."""
+
+    def __init__(self, env):
+        self.env = env
+        self.batches = []
+
+    def act(self, states, masks, rngs):
+        assert not any(self.env.done(state) for state in states)
+        assert masks.shape == (len(states), self.env.action_count) == (len(rngs), 2)
+        self.batches.append(len(states))
+        return [0] * len(states)
+
+
+def _seed_initialised_q(env):
+    return QPolicy(DeepSetsNet(env.element_dim, env.aux_dim, env.action_count, seed=0), env)
+
+
+# a cheaper reliability game: fewer inputs, candidates and draws, a shorter budget
+_SMALL_RELIABILITY = ReliabilityConfig(input_dim=2, pool_size=8, n_mc=8, max_actions=12)
+
+
+def _lockstep_cases():
+    constrained = CoinConfig(constrained=True)
+    small = ReliabilityEnv(_SMALL_RELIABILITY)
+    return {
+        "component-random": (ComponentEnv(), RandomPolicy()),
+        "component-oracle": (ComponentEnv(), OraclePolicy(backward_induction())),
+        "component-q-compressed": (ComponentEnv(),
+                                   _seed_initialised_q(ComponentEnv())),
+        "component-q-set": (ComponentEnv(encoding="set"),
+                            _seed_initialised_q(ComponentEnv(encoding="set"))),
+        "component-constrained-q": (ComponentEnv(constrained),
+                                    _seed_initialised_q(ComponentEnv(constrained))),
+        "component-constrained-oracle": (
+            ComponentEnv(constrained), OraclePolicy(backward_induction(constrained))),
+        "reliability-random": (small, RandomPolicy()),
+        "reliability-benchmark": (small, FunctionPolicy(
+            lambda s: benchmark_policy_action(s.actions_taken))),
+        "reliability-q": (small, _seed_initialised_q(small)),
+    }
+
+
+class TestLockstepEvaluation:
+    """evaluate_policy plays blocks of EVAL_BLOCK episodes side by side; each
+    episode must be the one run_episode plays alone at its seed."""
+
+    N = 2 * EVAL_BLOCK + 3  # two full blocks and a partial one
+
+    @pytest.mark.parametrize("case", sorted(_lockstep_cases()))
+    def test_each_episode_is_its_run_episode(self, case):
+        env, policy = _lockstep_cases()[case]
+        base = 1000
+        summary = evaluate_policy(env, policy, self.N, base)
+        for i in range(self.N):
+            rec = run_episode(env, policy, base + i)
+            assert summary.returns[i] == rec.total_return, (case, i)
+            assert summary.action_counts[i].tolist() == np.bincount(
+                rec.actions, minlength=env.action_count).tolist(), (case, i)
+            assert summary.outcomes[i] == env.outcome(rec.final_state)
+
+    def test_done_episodes_are_never_asked(self):
+        env = StaggeredEnv()
+        policy = RecordingPolicy(env)
+        summary = evaluate_policy(env, policy, self.N, 3)
+        lengths = np.array(summary.lengths)
+        assert lengths.min() == 0 and lengths.max() == env.longest
+        # one act per round of each block, over that round's live episodes
+        expected = []
+        for start in range(0, self.N, EVAL_BLOCK):
+            block = lengths[start:start + EVAL_BLOCK]
+            expected += [int((block > t).sum()) for t in range(block.max())]
+        assert policy.batches == expected
+        for i in range(self.N):
+            assert summary.returns[i] == run_episode(env, policy, 3 + i).total_return
+
+    def test_horizon_zero_asks_nothing(self):
+        env = StaggeredEnv(longest=0)
+        policy = RecordingPolicy(env)
+        summary = evaluate_policy(env, policy, self.N, 0)
+        assert policy.batches == []
+        assert summary.returns == (0.0,) * self.N
+        assert summary.lengths == (0,) * self.N
+
+    def test_masked_action_in_a_block_raises(self):
+        # action 1 is masked at each episode's third step; the first episode
+        # that is that long fails inside its block
+        env = StaggeredEnv()
+        policy = FunctionPolicy(lambda state: 1)
+        with pytest.raises(PolicyReturnedMaskedAction, match=r"\(\d+, 2\)"):
+            evaluate_policy(env, policy, self.N, 3)
 
 
 class TestRunEpisode:
@@ -86,7 +214,7 @@ class TestEvaluatePolicy:
 
     def test_seeding_contract(self):
         """Episode i of the block is the episode run_episode plays at seed
-        base_seed + i: same return, length, action counts and final state.
+        base_seed + i: same return, length, action counts and outcome.
         Each record holds one state more than it has actions and rewards."""
         for env in (ComponentEnv(), ReliabilityEnv()):
             summary = evaluate_policy(env, RandomPolicy(), 5, base_seed=40)
@@ -106,14 +234,8 @@ class TestEvaluatePolicy:
                 assert summary.action_counts[i].tolist() == [
                     rec.actions.count(a) for a in range(env.action_count)
                 ]
-                # reliability states hold arrays and compare by identity, so
-                # compare what encode reads and how the episode ended
-                final, expected = summary.final_states[i], rec.final_state
-                got, want = env.encode(final), env.encode(expected)
-                assert np.array_equal(got.elements, want.elements)
-                assert np.array_equal(got.aux, want.aux)
-                assert final.done and expected.done
-                assert getattr(final, "outcome", None) == getattr(expected, "outcome", None)
+                assert rec.final_state.done
+                assert summary.outcomes[i] == getattr(rec.final_state, "outcome", None)
 
     def test_requires_at_least_one_episode(self):
         with pytest.raises(ValueError):
@@ -158,4 +280,5 @@ class TestExports:
 class TestFunctionPolicy:
     def test_wraps_callable(self):
         pol = FunctionPolicy(lambda s: USE)
-        assert pol.act(None, np.ones(4, dtype=bool), None) == USE
+        assert pol.act([None, None], np.ones((2, 4), dtype=bool), [None, None]) == [
+            USE, USE]

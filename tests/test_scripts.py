@@ -41,3 +41,28 @@ def test_script_runs_every_command(tmp_path, monkeypatch, name, policies):
         with open(tmp_path / directory / "episodes.csv", newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 3
         assert (tmp_path / directory / "summary.json").exists()
+
+
+def test_output_check_finds_a_tree_identical_to_itself(tmp_path, capsys):
+    check = load_script("check_outputs_identical")
+    src = SCRIPTS.parent / "src"
+    code = check.main([
+        "--parent", str(src), "--episodes", "2", "--out", str(tmp_path)])
+    assert code == 0 and "identical" in capsys.readouterr().out
+    for side in ("parent", "this"):
+        for path in ("component/compare/compare_table.csv",
+                     "reliability/eval/episodes.csv",
+                     "horizon0_eval/episodes.csv", "horizon0_compare/compare_table.csv"):
+            assert (tmp_path / side / path).is_file()
+
+
+def test_output_check_names_a_differing_file(tmp_path):
+    check = load_script("check_outputs_identical")
+    for side in ("parent", "this"):
+        (tmp_path / side / "sub").mkdir(parents=True)
+        (tmp_path / side / "sub" / "same.csv").write_text("a\n")
+    (tmp_path / "parent" / "sub" / "changed.csv").write_text("1\n")
+    (tmp_path / "this" / "sub" / "changed.csv").write_text("2\n")
+    (tmp_path / "this" / "only_here.csv").write_text("x\n")
+    assert check.differences(tmp_path / "parent", tmp_path / "this") == [
+        Path("only_here.csv"), Path("sub/changed.csv")]
