@@ -50,15 +50,6 @@ def _make_env(args, run_config):
     return ReliabilityEnv(run_config.reliability)
 
 
-def _component_hist_range(config) -> tuple:
-    """Bounds on any component-game return: each day moves it by at most the
-    largest of the stake and the two costs."""
-    bound = config.horizon * max(
-        abs(config.use_stake), abs(config.replace_cost), abs(config.test_cost)
-    )
-    return -bound, bound
-
-
 def _load_policy(path, env, args) -> QPolicy:
     if not Path(path).is_file():
         raise MissingCheckpoint(f"no checkpoint file at {path}")
@@ -129,8 +120,8 @@ def cmd_eval(args) -> int:
     env = _make_env(args, run_config)
     policy = _load_policy(args.checkpoint, env, args)
     n = args.episodes
-    bin_range = (_component_hist_range(run_config.component)
-                 if args.env == "component" else None)
+    bound = run_config.component.return_bound
+    bin_range = (-bound, bound) if args.env == "component" else None
     summary = evaluate_policy(env, policy, n, args.seed, bin_range=bin_range)
 
     if args.env == "reliability":
@@ -189,7 +180,8 @@ def _compare_component(args, run_config, out, n) -> None:
         use_env = constrained_env if label == "dqn_constrained" else env
         policies.append((label, _load_policy(path, use_env, args), use_env))
 
-    bin_range = _component_hist_range(run_config.component)
+    bound = run_config.component.return_bound
+    bin_range = (-bound, bound)
     table_rows, bin_columns = [], []
     for name, policy, use_env in policies:
         summary = evaluate_policy(use_env, policy, n, args.seed, bin_range=bin_range)

@@ -74,6 +74,9 @@ class TrainConfig:
             raise ValueError("discount must lie in [0, 1]")
         if not (self.learning_rate > 0.0 and self.reward_scale > 0.0):
             raise ValueError("learning_rate and reward_scale must be > 0")
+        if self.replay_capacity < max(self.warmup, self.batch_size):
+            # learning starts once the buffer holds that many transitions
+            raise ValueError("replay_capacity must be >= max(warmup, batch_size)")
 
     def epsilon_at(self, episode: int) -> float:
         horizon = self.epsilon_decay_episodes or max(1, self.episodes // 2)

@@ -42,11 +42,8 @@ class CoinConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        # every return lies in [-bound, bound] with bound = horizon times the
-        # largest stake or cost; the histograms bin that range in equal widths
-        largest = max(abs(self.use_stake), abs(self.replace_cost), abs(self.test_cost))
-        try:
-            span = 2.0 * self.horizon * largest
+        try:  # the histograms bin [-return_bound, return_bound] in equal widths
+            span = 2.0 * self.return_bound
         except OverflowError:  # a horizon beyond the float range
             span = math.inf
         if not math.isfinite(span):
@@ -54,6 +51,13 @@ class CoinConfig:
                 "2 * horizon * max(|use_stake|, |replace_cost|, |test_cost|) "
                 "must be finite"
             )
+
+    @property
+    def return_bound(self):
+        """Every return lies within +-return_bound: each day moves it by at
+        most the largest of the stake and the two costs."""
+        return self.horizon * max(abs(self.use_stake), abs(self.replace_cost),
+                                  abs(self.test_cost))
 
 
 @dataclass(frozen=True)
@@ -150,13 +154,17 @@ def expected_use_reward(psi: float, config: CoinConfig = CoinConfig()) -> float:
     return p0 * config.use_stake - (1.0 - p0) * config.use_stake
 
 
+_MASKS = np.array([[1, 1, 1, 1], [1, 1, 1, 0]], dtype=bool)
+_MASKS.flags.writeable = False
+_ALL_ACTIONS, _ALL_BUT_USE = _MASKS  # read-only rows: all legal, all but Use
+
+
 def component_mask(info: TabularState, config: CoinConfig) -> np.ndarray:
     """Legal actions given the outcome counts; the constraint bars Use unless
     P(theta_good) exceeds the threshold."""
-    mask = np.ones(4, dtype=bool)  # TERMINATE, TEST, REPLACE, USE
     if config.constrained and 1.0 - belief_psi(info, config) <= config.constraint_threshold:
-        mask[USE] = False
-    return mask
+        return _ALL_BUT_USE
+    return _ALL_ACTIONS
 
 
 class ComponentEnv(Environment):

@@ -119,10 +119,8 @@ class SurrogatePosterior:
         )
 
     def predictive_variance(self, features: np.ndarray) -> np.ndarray:
-        """phi^T Sigma phi for one feature vector or a stack of them."""
-        cov = self.cov_array()
-        features = np.atleast_2d(features)
-        return np.einsum("ij,jk,ik->i", features, cov, features)
+        """phi^T Sigma phi for each row phi of a (n, input_dim) stack."""
+        return np.einsum("ij,jk,ik->i", features, self.cov_array(), features)
 
     def observe(
         self, features: np.ndarray, y: float, noise_var: float
@@ -170,20 +168,19 @@ class ReliabilityState:
     true_beta: np.ndarray  # read-only
     true_defect: float
     true_discrepancy: float
-    outcome: str | None = None  # CONFIRMED_* or FAILED once the episode ends
-    # (E[p_f], Std(p_f)) under this state's beliefs; reset and step set it
-    pf_stats: tuple | None = None
-    # read-only predictive variance of the surrogate at every design
-    # candidate; reset and FE steps set it next to the surrogate
-    pool_variance: np.ndarray | None = None
+    # (E[p_f], Std(p_f)) under this state's beliefs
+    pf_stats: tuple
+    # read-only predictive variance of the surrogate at every design candidate
+    pool_variance: np.ndarray
     # the episode's common random numbers, drawn once at reset from crn_seed;
     # every state of the episode holds the same object
-    crn_normals: CrnNormals | None = None
+    crn_normals: CrnNormals
     # read-only per-draw halves of the p_f estimate: margins mu_m + gamma d
     # change on measurement and lab steps, scales sqrt(beta^T beta +
     # sigma_a^2) on FE steps; pf_stats is computed from the two
-    pf_margins: np.ndarray | None = None
-    pf_scales: np.ndarray | None = None
+    pf_margins: np.ndarray
+    pf_scales: np.ndarray
+    outcome: str | None = None  # CONFIRMED_* or FAILED once the episode ends
 
     @property
     def done(self) -> bool:
@@ -254,7 +251,6 @@ def check_objective(mean: float, sd: float, target: float) -> str:
 def select_fe_input(pool: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """Myopic design choice: the candidate with maximal predictive variance,
     given the surrogate's predictive variance at every candidate."""
-    pool = np.atleast_2d(pool)
     if len(pool) == 0:
         raise ValueError("candidate pool must be non-empty")
     return pool[int(np.argmax(variances))]  # argmax ties break to lowest index
@@ -274,6 +270,7 @@ class ReliabilityEnv(Environment):
     """Belief-state MDP over the three experiment channels."""
 
     action_count = 3
+    _all_legal = _read_only(np.ones(action_count, dtype=bool))  # the only mask
 
     def __init__(self, config: ReliabilityConfig = ReliabilityConfig()):
         self.config = config
@@ -320,7 +317,7 @@ class ReliabilityEnv(Environment):
         )
 
     def action_mask(self, state) -> np.ndarray:
-        return np.ones(self.action_count, dtype=bool)
+        return self._all_legal
 
     def outcome(self, state: ReliabilityState) -> str | None:
         return state.outcome

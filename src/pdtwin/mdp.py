@@ -130,14 +130,6 @@ class EpisodeRecord:
     rewards: tuple
     total_return: float
 
-    @property
-    def final_state(self):
-        return self.states[-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.actions)
-
 
 @dataclass(frozen=True)
 class EvalSummary:

@@ -237,9 +237,7 @@ class Adam:
 
     size: int
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # fixed: no caller tunes them
 
     def __post_init__(self):
         self.t = 0

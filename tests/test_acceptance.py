@@ -82,7 +82,7 @@ def reliability_rows(env, policy, n, base_seed):
     rows = []
     for i in range(n):
         rec = run_episode(env, policy, base_seed + i)
-        final = rec.final_state
+        final = rec.states[-1]
         rows.append((final.outcome != FAILED, rec.total_return))
     return rows
 

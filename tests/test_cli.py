@@ -295,6 +295,16 @@ class TestParsing:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_replay_smaller_than_warmup_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps({"train": {"replay_capacity": 10}}))
+        out = tmp_path / "o"
+        code = run(["train", "--env", "component", "--episodes", "50",
+                    "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "replay_capacity" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_component_stake_too_large_to_bin_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "huge.json"
         cfg.write_text(json.dumps({"env": {"component": {"use_stake": 1e308}}}))

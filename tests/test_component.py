@@ -203,6 +203,14 @@ class TestActionMask:
         assert not mask[USE]
         assert mask[TERMINATE] and mask[TEST] and mask[REPLACE]
 
+    def test_masks_are_read_only_constants(self):
+        free = component_mask(counts(0, 0), CoinConfig())
+        barred = component_mask(counts(0, 0), CoinConfig(constrained=True))
+        assert np.array_equal(free, np.ones(4, dtype=bool))
+        assert np.array_equal(barred, [True, True, True, False])
+        assert not free.flags.writeable and not barred.flags.writeable
+        assert component_mask(counts(3, 1), CoinConfig()) is free
+
     def test_constrained_unmasks_after_enough_successes(self):
         env = ComponentEnv(CoinConfig(constrained=True))
         # smallest success streak with P(theta good) > 0.9
@@ -218,9 +226,9 @@ class TestEpisodeInvariants:
         env = ComponentEnv()
         for seed in range(50):
             rec = run_episode(env, _random_policy(), seed)
-            assert rec.length <= 10
+            assert len(rec.actions) <= 10
             assert -1e7 <= rec.total_return <= 1e7
-            assert rec.final_state.done
+            assert rec.states[-1].done
             assert all(not s.done for s in rec.states[:-1])
 
     def test_constrained_never_uses_at_low_confidence(self):
@@ -237,7 +245,7 @@ class TestEpisodeInvariants:
         env = ComponentEnv()
         rec = run_episode(env, FunctionPolicy(lambda s: TERMINATE), seed=5)
         assert rec.total_return == 0.0
-        assert rec.length == 1
+        assert len(rec.actions) == 1
 
     @pytest.mark.parametrize("encoding", ["compressed", "set"])
     def test_horizon_zero_episode_is_empty(self, encoding):
@@ -247,14 +255,14 @@ class TestEpisodeInvariants:
         assert env.encode(state).aux[-1] == 0.0
         never = FunctionPolicy(lambda s: 1 / 0)
         rec = run_episode(env, never, seed=5)
-        assert rec.length == 0 and rec.total_return == 0.0
-        assert rec.final_state == env.reset(np.random.default_rng(5))
+        assert len(rec.actions) == 0 and rec.total_return == 0.0
+        assert rec.states[-1] == env.reset(np.random.default_rng(5))
         summary = evaluate_policy(env, never, 3, base_seed=5)
         assert summary.lengths == (0, 0, 0)
         assert summary.action_counts.tolist() == [[0] * 4] * 3
         assert summary.outcomes == (None, None, None)
         for i in range(3):  # each final state is its reset state
-            final = run_episode(env, never, 5 + i).final_state
+            final = run_episode(env, never, 5 + i).states[-1]
             assert final == env.reset(np.random.default_rng(5 + i))
 
 

@@ -121,6 +121,8 @@ class TestValidation:
         ("train", {"learning_rate": float("inf")}),
         ("component", {"horizon": 1, "use_stake": 1e308}),  # returns span inf
         ("component", {"horizon": 10**400}),  # no float holds it
+        ("train", {"replay_capacity": 10}),  # below warmup: never learns
+        ("train", {"replay_capacity": 32, "warmup": 0}),  # below batch_size
     ])
     def test_rejects_bad_values(self, tmp_path, section, values):
         raw = {"train": values} if section == "train" else {"env": {section: values}}
@@ -128,6 +130,12 @@ class TestValidation:
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError):
             load_run_config(str(path), "reliability")
+
+    def test_replay_may_hold_just_the_warmup_transitions(self, tmp_path):
+        # learning starts at max(warmup, batch_size) = 500 held transitions
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"train": {"replay_capacity": 500}}))
+        assert load_run_config(str(path), "component").train.replay_capacity == 500
 
     def test_accepts_int_for_float_and_null_for_optional(self, tmp_path):
         path = tmp_path / "run.json"

@@ -7,9 +7,11 @@ from pdtwin.dqn import (
     DivergenceDetected, NoLegalAction, QPolicy, ReplayBuffer,
     TrainConfig, epsilon_greedy, td_target, train,
 )
-from pdtwin.envs.component import ComponentEnv
+from pdtwin.envs.component import CoinState, ComponentEnv
 from pdtwin.mdp import Environment, StateEncoding, evaluate_policy
-from pdtwin.oracle import TabularState, backward_induction
+from pdtwin.oracle import (
+    TabularState, backward_induction, enumerate_states, policy_value,
+)
 
 
 class BanditEnv(Environment):
@@ -320,6 +322,24 @@ class TestQPolicy:
         for rng, reference in zip(rngs, references):
             reference.random()
             assert rng.random() == reference.random()
+
+
+class TestLearnedPolicyExactValue:
+    @pytest.mark.parametrize("encoding", ["compressed", "set"])
+    def test_simulated_mean_matches_exact_value(self, encoding):
+        env = ComponentEnv(encoding=encoding)
+        policy = train(env, TrainConfig(episodes=200, seed=0, reward_scale=1e6)).policy
+        # the greedy action at every non-terminal state, from one batched act;
+        # encode reads only the counts and days left, not the hidden theta
+        infos = [s for s in enumerate_states(env.config) if s.days_left > 0]
+        states = [CoinState(info, env.config.theta_good) for info in infos]
+        masks = np.array([env.action_mask(state) for state in states])
+        rngs = [np.random.default_rng(0) for _ in states]
+        table = dict(zip(infos, (int(a) for a in policy.act(states, masks, rngs))))
+        exact = policy_value(table, env.config)
+        n = 4000
+        summary = evaluate_policy(env, policy, n, base_seed=0)
+        assert abs(summary.mean - exact) <= 4.0 * summary.sd / np.sqrt(n)
 
 
 @pytest.mark.slow

@@ -136,7 +136,7 @@ class TestLockstepEvaluation:
             assert summary.returns[i] == rec.total_return, (case, i)
             assert summary.action_counts[i].tolist() == np.bincount(
                 rec.actions, minlength=env.action_count).tolist(), (case, i)
-            assert summary.outcomes[i] == env.outcome(rec.final_state)
+            assert summary.outcomes[i] == env.outcome(rec.states[-1])
 
     def test_done_episodes_are_never_asked(self):
         env = StaggeredEnv()
@@ -174,8 +174,8 @@ class TestRunEpisode:
     def test_return_sums_rewards(self):
         rec = run_episode(TwoStepEnv(), FunctionPolicy(lambda s: 0), seed=0)
         assert rec.total_return == 1.0 + 2.0
-        assert rec.length == 2
-        assert rec.final_state == rec.states[-1] == 2
+        assert len(rec.actions) == 2
+        assert rec.states[-1] == 2
 
     def test_masked_action_raises(self):
         with pytest.raises(PolicyReturnedMaskedAction):
@@ -221,21 +221,20 @@ class TestEvaluatePolicy:
             assert summary.action_counts.shape == (5, env.action_count)
             for i in range(5):
                 rec = run_episode(env, RandomPolicy(), 40 + i)
-                assert len(rec.states) == rec.length + 1 == len(rec.rewards) + 1
-                assert rec.final_state is rec.states[-1]
+                assert len(rec.states) == len(rec.actions) + 1 == len(rec.rewards) + 1
                 total = 0.0
                 for reward in rec.rewards:
                     total += reward
                 assert rec.total_return == total
                 done = [env.done(s) for s in rec.states]
-                assert done == [False] * rec.length + [True]
+                assert done == [False] * len(rec.actions) + [True]
                 assert summary.returns[i] == rec.total_return
-                assert summary.lengths[i] == rec.length
+                assert summary.lengths[i] == len(rec.actions)
                 assert summary.action_counts[i].tolist() == [
                     rec.actions.count(a) for a in range(env.action_count)
                 ]
-                assert rec.final_state.done
-                assert summary.outcomes[i] == getattr(rec.final_state, "outcome", None)
+                assert rec.states[-1].done
+                assert summary.outcomes[i] == getattr(rec.states[-1], "outcome", None)
 
     def test_requires_at_least_one_episode(self):
         with pytest.raises(ValueError):
@@ -262,7 +261,7 @@ class TestExports:
         assert len(rows) == 10
         assert [float(r["return"]) for r in rows] == list(summary.returns)
         assert [int(r["length"]) for r in rows] == [
-            run_episode(env, RandomPolicy(), 3 + i).length for i in range(10)
+            len(run_episode(env, RandomPolicy(), 3 + i).actions) for i in range(10)
         ]
         assert rows[0]["seed"] == "3"
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -5,7 +7,7 @@ from scipy.special import ndtr
 from pdtwin.beliefs import GaussianBelief
 from pdtwin.envs.reliability import (
     CONFIRMED_ABOVE, CONFIRMED_BELOW, FAILED, FE, LAB, MEASUREMENT, UNDECIDED,
-    ReliabilityConfig, ReliabilityEnv, ReliabilityState, SurrogatePosterior,
+    ReliabilityConfig, ReliabilityEnv, SurrogatePosterior,
     benchmark_policy_action, check_objective, estimate_pf_stats, pf_given_theta,
     select_fe_input,
 )
@@ -130,16 +132,14 @@ class TestEstimatePfStats:
         assert sd == pytest.approx(ref_sd, rel=0.25)
 
     def test_degenerate_beliefs_give_zero_spread(self):
-        state = fresh_state()
-        point = ReliabilityState(
+        # estimate_pf_stats reads only the three beliefs
+        point = dataclasses.replace(
+            fresh_state(),
             surrogate=SurrogatePosterior.from_arrays(
                 np.full(CONFIG.input_dim, 0.5), np.zeros((CONFIG.input_dim,) * 2)
             ),
             defect_belief=GaussianBelief(0.5, 0.0),
             discrepancy_belief=GaussianBelief(2.8, 0.0),
-            fe_observations=np.empty((0, CONFIG.input_dim + 1)),
-            actions_taken=0, crn_seed=0,
-            true_beta=state.true_beta, true_defect=0.5, true_discrepancy=2.8,
         )
         mean, sd = estimate_pf_stats(point, CONFIG, 0)
         assert sd == pytest.approx(0.0, abs=1e-15)
@@ -236,23 +236,27 @@ class TestEnvironment:
             if self.env.done(state):
                 break
 
-    def test_step_after_done(self):
-        from dataclasses import replace
+    def test_action_mask_is_a_read_only_constant(self):
+        mask = self.env.action_mask(fresh_state())
+        assert np.array_equal(mask, np.ones(3, dtype=bool))
+        assert not mask.flags.writeable
+        assert self.env.action_mask(fresh_state(seed=1)) is mask
 
-        state = replace(fresh_state(), outcome=FAILED)
+    def test_step_after_done(self):
+        state = dataclasses.replace(fresh_state(), outcome=FAILED)
         with pytest.raises(StepAfterDone):
             self.env.step(state, FE, np.random.default_rng(0))
 
     def test_episode_invariants(self):
         for seed in range(20):
             rec = run_episode(self.env, RandomPolicy(), seed)
-            final = rec.final_state
+            final = rec.states[-1]
             assert all(s.done == (s.outcome is not None) for s in rec.states)
-            assert rec.length <= CONFIG.max_actions
+            assert len(rec.actions) <= CONFIG.max_actions
             assert final.done
             assert final.outcome in (CONFIRMED_BELOW, CONFIRMED_ABOVE, FAILED)
             if final.outcome == FAILED:
-                assert rec.length == CONFIG.max_actions
+                assert len(rec.actions) == CONFIG.max_actions
             # successful total cost is a sum of pure action costs
             if final.outcome != FAILED:
                 counts = [0, 0, 0]
@@ -269,7 +273,7 @@ class TestEnvironment:
         # a policy that only runs computer experiments cannot decide: the
         # defect and discrepancy spread alone keeps the verdict open
         rec = run_episode(self.env, FunctionPolicy(lambda s: FE), seed=0)
-        final = rec.final_state
+        final = rec.states[-1]
         assert final.outcome == FAILED
         assert rec.total_return == pytest.approx(
             CONFIG.max_actions * CONFIG.cost_fe + CONFIG.failure_penalty
@@ -344,7 +348,7 @@ class TestEnvironment:
         rec = run_episode(self.env, RandomPolicy(), seed=5)
         for state in rec.states:
             assert state.pf_stats == estimate_pf_stats(state, CONFIG, state.crn_seed)
-        final = rec.final_state
+        final = rec.states[-1]
         assert final.outcome == FAILED or check_objective(
             *final.pf_stats, CONFIG.target) == final.outcome
 

@@ -43,6 +43,7 @@ def test_script_runs_every_command(tmp_path, monkeypatch, name, policies):
         assert (tmp_path / directory / "summary.json").exists()
 
 
+@pytest.mark.slow
 def test_output_check_finds_a_tree_identical_to_itself(tmp_path, capsys):
     check = load_script("check_outputs_identical")
     src = SCRIPTS.parent / "src"
