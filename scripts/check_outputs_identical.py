@@ -1,10 +1,12 @@
 """Check that two source trees write byte-identical outputs.
 
-Runs both experiment scripts of this checkout, then a horizon-0 ``eval``
-and ``compare`` on the component game, once with ``--parent``'s pdtwin and
-once with this checkout's, and compares the two output trees file by file. Every
-output is byte-reproducible from its command line, so any difference is a
-change in behaviour. Prints the files that differ and exits 1 if any do.
+Runs both experiment scripts of this checkout, then a horizon-0 ``eval``,
+``compare``, ``oracle`` and ``oracle --constrained`` on the component game
+(the only oracle table whose start state has no action), once with
+``--parent``'s pdtwin and once with this checkout's, and compares the two
+output trees file by file. Every output is byte-reproducible from its
+command line, so any difference is a change in behaviour. Prints the files
+that differ and exits 1 if any do.
 
     python3 scripts/check_outputs_identical.py --parent ../parent/src
 
@@ -66,6 +68,9 @@ def write_outputs(src: Path, out: Path, sizes: dict) -> None:
     for command in ("eval", "compare"):
         run(src, ["-m", "pdtwin.cli", command, *common,
                   "--out", str(out / f"horizon0_{command}")])
+    for name, extra in (("oracle", []), ("oracle_constrained", ["--constrained"])):
+        run(src, ["-m", "pdtwin.cli", "oracle", *extra, "--config", str(config),
+                  "--out", str(out / f"horizon0_{name}")])
 
 
 def differences(a: Path, b: Path, where: Path = Path()) -> list:

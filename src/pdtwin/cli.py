@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ class MissingCheckpoint(FileNotFoundError):
 
 
 class CheckpointMismatch(ValueError):
-    """A checkpoint was trained for another environment or encoding."""
+    """A checkpoint cannot be read, or has another env, encoding or net shape."""
 
 
 def _out_dir(args) -> Path:
@@ -53,14 +54,20 @@ def _make_env(args, run_config):
 def _load_policy(path, env, args) -> QPolicy:
     if not Path(path).is_file():
         raise MissingCheckpoint(f"no checkpoint file at {path}")
-    net, meta = load_checkpoint(path)
-    expected = {"env": args.env}
-    if args.env == "component":  # the reliability env has one encoding
-        expected["encoding"] = args.encoding
+    try:
+        net, meta = load_checkpoint(path)
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise CheckpointMismatch(f"cannot read checkpoint {path}: {exc}") from exc
+    found = dict(meta, element_dim=net.element_dim, aux_dim=net.aux_dim,
+                 action_count=net.output_dim)
+    expected = {"env": args.env, "encoding": args.encoding, "element_dim": env.element_dim,
+                "aux_dim": env.aux_dim, "action_count": env.action_count}
+    if args.env == "reliability":  # one encoding: not checked
+        del expected["encoding"]
     for key, value in expected.items():
-        if meta.get(key) != value:
+        if found.get(key) != value:
             raise CheckpointMismatch(
-                f"checkpoint {path} was trained with {key} {meta.get(key)!r}, "
+                f"checkpoint {path} was trained with {key} {found.get(key)!r}, "
                 f"not {value!r}"
             )
     return QPolicy(net, env)
@@ -74,6 +81,10 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     env = _make_env(args, run_config)
     result = train(env, run_config.train)
+    if all(np.isnan(result.loss_moving_average)):  # no gradient step ran
+        needed = max(run_config.train.warmup, run_config.train.batch_size)
+        print(f"warning: no gradient step taken; learning starts once the replay "
+              f"holds max(warmup, batch_size) = {needed} transitions", file=sys.stderr)
 
     save_checkpoint(
         out / "checkpoint.npz", result.policy.net,

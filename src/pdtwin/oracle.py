@@ -5,8 +5,10 @@ The tabular state is the game's observable state, ``TabularState``
 ``TabularState.after``, the rule the simulator steps with. Transitions
 integrate the hidden component type out through the posterior psi, so the
 induction runs on the belief-marginal kernel: flipping the current component
-yields Y = 0 with probability psi * theta_bad + (1 - psi) * theta_good. Ties between equally good actions break toward the
-lowest action index, which makes the optimal policy unique.
+yields Y = 0 with probability psi * theta_bad + (1 - psi) * theta_good.
+``backward_induction`` and ``policy_value`` are one memoised recursion from
+the start state over the states it reaches. Ties between equally good actions
+break toward the lowest action index, which makes the optimal policy unique.
 """
 
 from __future__ import annotations
@@ -47,76 +49,58 @@ def q_backup(
     )
 
 
-def _legal_actions(state: TabularState, config: CoinConfig) -> list:
-    mask = component_mask(state, config)
-    return [action for action, legal in enumerate(mask) if legal]
-
-
-def enumerate_states(config: CoinConfig = CoinConfig()) -> list:
-    """All states reachable from (0, 0, horizon), including the terminal layer."""
-    start = TabularState(0, 0, config.horizon)
-    seen = {start}
-    frontier = [start]
-
-    def visit(successor: TabularState) -> float:  # q_backup's successor lookups
-        if successor not in seen:
-            seen.add(successor)
-            frontier.append(successor)
-        return 0.0
-
-    while frontier:
-        state = frontier.pop()
-        if state.days_left > 0:
-            for action in _legal_actions(state, config):
-                q_backup(state, action, visit, config)
-    return sorted(seen, key=lambda s: (s.days_left, s.n_success, s.n_fail))
-
-
 @dataclass(frozen=True)
 class ValueTable:
     values: dict  # TabularState -> optimal value
     actions: dict  # TabularState -> optimal action (days_left > 0 only)
 
 
-def backward_induction(config: CoinConfig = CoinConfig()) -> ValueTable:
-    """Optimal value and action for every reachable tabular state."""
+def _solve(config: CoinConfig, actions_at: Callable[[TabularState], list]) -> ValueTable:
+    """One memoised recursion from (0, 0, horizon): each live state it reaches
+    backs up the actions ``actions_at`` gives it, once each, and keeps the first
+    best. Two frames per day (``value`` -> ``q_backup`` -> ``value``): Python's
+    default recursion limit allows a horizon of about 490 days, where a table
+    would hold C(493, 3), about 20 million states, so memory runs out first."""
     values: dict = {}
     actions: dict = {}
-    for state in enumerate_states(config):  # by days_left: successors come first
-        if state.days_left == 0:
-            values[state] = 0.0
-            continue
-        q = {
-            action: q_backup(state, action, values.__getitem__, config)
-            for action in _legal_actions(state, config)
-        }
-        actions[state] = max(q, key=q.__getitem__)  # first maximum: lowest index
-        values[state] = q[actions[state]]
+
+    def value(state: TabularState) -> float:
+        if state in values:
+            return values[state]
+        best = 0.0  # the terminal layer
+        if state.days_left > 0:
+            for i, action in enumerate(actions_at(state)):
+                q = q_backup(state, action, value, config)
+                if i == 0 or q > best:  # strict: the lowest index keeps a tie
+                    best, actions[state] = q, action
+        values[state] = best
+        return best
+
+    value(TabularState(0, 0, config.horizon))
     return ValueTable(values, actions)
 
 
+def backward_induction(config: CoinConfig = CoinConfig()) -> ValueTable:
+    """Optimal value and action for every reachable tabular state."""
+    return _solve(config, lambda state: [
+        action for action, legal in enumerate(component_mask(state, config)) if legal
+    ])
+
+
 def policy_value(policy_map: dict, config: CoinConfig = CoinConfig()) -> float:
-    """Exact expected return of a deterministic tabular policy from the start.
+    """Exact expected return of a deterministic tabular policy from the start:
+    the same recursion, backing up the policy's action where the policy leads."""
+    def policy_action(state: TabularState) -> list:
+        if state not in policy_map:
+            raise PolicyUndefinedAtState(state)
+        action = policy_map[state]
+        if not component_mask(state, config)[action]:
+            raise PolicyReturnedMaskedAction(
+                f"action {action} is masked in state {state!r}"
+            )
+        return [action]
 
-    Forward recursion over the belief-marginal kernel; no sampling involved.
-    """
-    cache: dict = {}
-
-    def value(state: TabularState) -> float:
-        if state.days_left == 0:
-            return 0.0
-        if state not in cache:
-            if state not in policy_map:
-                raise PolicyUndefinedAtState(state)
-            action = policy_map[state]
-            if not component_mask(state, config)[action]:
-                raise PolicyReturnedMaskedAction(
-                    f"action {action} is masked in state {state!r}"
-                )
-            cache[state] = q_backup(state, action, value, config)
-        return cache[state]
-
-    return value(TabularState(0, 0, config.horizon))
+    return _solve(config, policy_action).values[TabularState(0, 0, config.horizon)]
 
 
 class OraclePolicy(Policy):

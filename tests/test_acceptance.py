@@ -26,8 +26,7 @@ from pdtwin.envs.reliability import (
 from pdtwin.mdp import FunctionPolicy, RandomPolicy, evaluate_policy, run_episode
 from pdtwin.nets import DeepSetsNet
 from pdtwin.oracle import (
-    OraclePolicy, TabularState, backward_induction, enumerate_states,
-    policy_value,
+    OraclePolicy, TabularState, backward_induction, policy_value,
 )
 
 pytestmark = pytest.mark.acceptance
@@ -123,7 +122,7 @@ def test_criterion_3_oracle_dominance(oracle_table):
     mc_ok = abs(summary.mean - exact) <= 3.0 * se
 
     rng = np.random.default_rng(0)
-    states = [s for s in enumerate_states(CoinConfig()) if s.days_left > 0]
+    states = [s for s in oracle_table.values if s.days_left > 0]
     dominance_ok = all(
         policy_value({s: int(rng.integers(4)) for s in states}) <= vstar + 1e-9
         for _ in range(50)

@@ -2,10 +2,12 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from pdtwin.cli import OUT_DIR_ENV_VAR, build_parser, main
 from pdtwin.config import load_run_config
+from pdtwin.nets import DeepSetsNet, save_checkpoint
 
 
 def run(argv):
@@ -41,6 +43,19 @@ class TestTrain:
         with open(out / "curve.csv", newline="") as fh:
             epsilons = [float(row["epsilon"]) for row in csv.DictReader(fh)]
         assert epsilons == [train.epsilon_at(i) for i in range(12)]
+
+    def test_no_gradient_step_warns(self, tmp_path, capsys):
+        # 20 episodes of at most 10 steps never fill the replay to 500
+        out = train_tiny(tmp_path, episodes=20)
+        err = capsys.readouterr().err
+        assert err.startswith("warning: no gradient step taken")
+        assert "max(warmup, batch_size) = 500 transitions" in err
+        assert all(r["loss_moving_average"] == "nan" for r in read_csv(out / "curve.csv"))
+        # a run that takes a step does not warn
+        config = tmp_path / "learns.json"
+        config.write_text(json.dumps({"train": {"warmup": 1, "batch_size": 1}}))
+        train_tiny(tmp_path, name="learns", episodes=20, extra=("--config", str(config)))
+        assert capsys.readouterr().err == ""
 
     def test_reliability_round_trip(self, tmp_path):
         out = train_tiny(tmp_path, env="reliability", episodes=3)
@@ -101,6 +116,46 @@ class TestEval:
                 ])
                 assert code == 1
                 assert f"trained with {key}" in capsys.readouterr().err
+
+
+def truncated_checkpoint(path):
+    save_checkpoint(path, DeepSetsNet(1, 2, 4, seed=0),
+                    meta={"env": "component", "encoding": "compressed"})
+    path.write_bytes(path.read_bytes()[:200])
+
+
+class TestBadCheckpoint:
+    """A checkpoint that cannot be read, or whose network does not fit the
+    environment, is a usage error."""
+
+    def test_network_shape_must_fit_the_env(self, tmp_path, capsys):
+        out = train_tiny(tmp_path, env="reliability", episodes=1)  # input_dim 5
+        config = tmp_path / "input_dim_3.json"
+        config.write_text(json.dumps({"env": {"reliability": {"input_dim": 3}}}))
+        capsys.readouterr()
+        code = run([
+            "eval", "--env", "reliability", "--config", str(config),
+            "--episodes", "2", "--checkpoint", str(out / "checkpoint.npz"),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "trained with element_dim 6, not 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("write", [
+        lambda path: path.write_text("not a checkpoint\n"),
+        lambda path: path.write_bytes(b""),
+        lambda path: np.savez(path, flat=np.zeros(3)),  # no header
+        truncated_checkpoint,
+    ], ids=["text", "empty", "no-header", "truncated"])
+    def test_unreadable_checkpoint(self, tmp_path, capsys, write):
+        path = tmp_path / "checkpoint.npz"
+        write(path)
+        code = run([
+            "eval", "--env", "component", "--episodes", "2",
+            "--checkpoint", str(path), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read checkpoint {path}: ")
 
 
 class TestOracle:

@@ -11,7 +11,7 @@ from pdtwin.envs.component import (
 )
 from pdtwin.mdp import FunctionPolicy, StepAfterDone, evaluate_policy, run_episode
 from pdtwin.nets import canonical_set
-from pdtwin.oracle import enumerate_states, q_backup
+from pdtwin.oracle import backward_induction, q_backup
 
 
 class FixedRng:
@@ -175,7 +175,7 @@ class TestSuccessorRule:
     def test_simulator_reaches_the_states_the_backup_looks_up(self, constrained):
         config = CoinConfig(constrained=constrained)
         env = ComponentEnv(config)
-        for info in enumerate_states(config):
+        for info in backward_induction(config).values:
             if info.days_left == 0:
                 continue
             for action in np.flatnonzero(component_mask(info, config)):

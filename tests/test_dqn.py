@@ -9,9 +9,7 @@ from pdtwin.dqn import (
 )
 from pdtwin.envs.component import CoinState, ComponentEnv
 from pdtwin.mdp import Environment, StateEncoding, evaluate_policy
-from pdtwin.oracle import (
-    TabularState, backward_induction, enumerate_states, policy_value,
-)
+from pdtwin.oracle import TabularState, backward_induction, policy_value
 
 
 class BanditEnv(Environment):
@@ -331,7 +329,7 @@ class TestLearnedPolicyExactValue:
         policy = train(env, TrainConfig(episodes=200, seed=0, reward_scale=1e6)).policy
         # the greedy action at every non-terminal state, from one batched act;
         # encode reads only the counts and days left, not the hidden theta
-        infos = [s for s in enumerate_states(env.config) if s.days_left > 0]
+        infos = [s for s in backward_induction(env.config).values if s.days_left > 0]
         states = [CoinState(info, env.config.theta_good) for info in infos]
         masks = np.array([env.action_mask(state) for state in states])
         rngs = [np.random.default_rng(0) for _ in states]

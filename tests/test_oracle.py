@@ -1,16 +1,18 @@
 import csv
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pdtwin.envs.component import (
     TERMINATE, USE, CoinConfig, ComponentEnv, belief_psi, component_mask,
 )
 from pdtwin.mdp import PolicyReturnedMaskedAction, evaluate_policy
+from pdtwin import oracle
 from pdtwin.oracle import (
     OraclePolicy, PolicyUndefinedAtState, TabularState, backward_induction,
-    enumerate_states, policy_value, table_to_csv,
+    policy_value, q_backup, table_to_csv,
 )
 
 # frozen by exhaustive enumeration / exact induction at the default config
@@ -18,17 +20,24 @@ STATE_COUNT_HORIZON_10 = 286
 OPTIMAL_VALUE = 7_012_695.373035354
 
 
+def live_states(config):
+    """The reachable states with a day left, read from the optimal table."""
+    return [s for s in backward_induction(config).values if s.days_left > 0]
+
+
 class TestEnumerateStates:
+    """The reachable states: the keys of the optimal table."""
+
     def test_frozen_state_count(self):
-        assert len(enumerate_states(CoinConfig())) == STATE_COUNT_HORIZON_10
+        assert len(backward_induction(CoinConfig()).values) == STATE_COUNT_HORIZON_10
 
     def test_horizon_one(self):
-        states = enumerate_states(CoinConfig(horizon=1))
+        states = backward_induction(CoinConfig(horizon=1)).values
         assert TabularState(0, 0, 1) in states
         assert all(s.days_left in (0, 1) for s in states)
 
     def test_counts_bounded_by_elapsed_steps(self):
-        for s in enumerate_states(CoinConfig()):
+        for s in backward_induction(CoinConfig()).values:
             assert s.n_success + s.n_fail <= 10 - s.days_left
             assert s.n_success >= 0 and s.n_fail >= 0
 
@@ -47,7 +56,7 @@ class TestBackwardInduction:
         assert self.table.actions[TabularState(0, 0, 1)] == USE
 
     def test_one_day_left_is_max_of_terminate_and_use(self):
-        for state in enumerate_states(CoinConfig()):
+        for state in self.table.values:
             if state.days_left != 1:
                 continue
             psi = belief_psi(state)
@@ -86,7 +95,7 @@ class TestPolicyValue:
         self.table = backward_induction()
 
     def test_always_terminate(self):
-        policy = {s: TERMINATE for s in enumerate_states(CoinConfig()) if s.days_left > 0}
+        policy = dict.fromkeys(live_states(CoinConfig()), TERMINATE)
         assert policy_value(policy) == 0.0
 
     def test_optimal_policy_consistency(self):
@@ -95,13 +104,13 @@ class TestPolicyValue:
         )
 
     def test_always_use_dominated(self):
-        policy = {s: USE for s in enumerate_states(CoinConfig()) if s.days_left > 0}
+        policy = dict.fromkeys(live_states(CoinConfig()), USE)
         value = policy_value(policy)
         assert value <= self.table.values[TabularState(0, 0, 10)]
 
     def test_random_policies_dominated(self):
         rng = np.random.default_rng(0)
-        states = [s for s in enumerate_states(CoinConfig()) if s.days_left > 0]
+        states = live_states(CoinConfig())
         vstar = self.table.values[TabularState(0, 0, 10)]
         for _ in range(25):
             policy = {s: int(rng.integers(4)) for s in states}
@@ -114,7 +123,7 @@ class TestPolicyValue:
     def test_masked_action_raises(self):
         # the constraint bars Use at the prior belief
         config = CoinConfig(constrained=True)
-        policy = {s: USE for s in enumerate_states(config) if s.days_left > 0}
+        policy = dict.fromkeys(live_states(config), USE)
         with pytest.raises(PolicyReturnedMaskedAction):
             policy_value(policy, config)
 
@@ -144,15 +153,47 @@ def coin_configs(draw, probabilities=probabilities):
 class TestOracleProperties:
     @settings(max_examples=60, deadline=None)
     @given(coin_configs())
+    @example(CoinConfig())
+    @example(CoinConfig(constrained=True))
     def test_exact_values(self, config):
         table = backward_induction(config)
-        vstar = table.values[TabularState(0, 0, config.horizon)]
+        h = config.horizon
+        # every (s, f) with s + f <= days elapsed: Test is always legal
+        assert set(table.values) == {
+            TabularState(s, f, d)
+            for d in range(h + 1) for s in range(h - d + 1) for f in range(h - d - s + 1)
+        }
+        assert len(table.values) == math.comb(h + 3, 3)
+        states = [s for s in table.values if s.days_left > 0]
+        assert set(table.actions) == set(states)
+        for state in states:
+            legal = np.flatnonzero(component_mask(state, config)).tolist()
+            q = [q_backup(state, a, table.values.__getitem__, config) for a in legal]
+            assert table.values[state] == max(q)
+            assert table.actions[state] == legal[q.index(max(q))]  # lowest index
+        vstar = table.values[TabularState(0, 0, h)]
         assert policy_value(table.actions, config) == vstar
-        states = [s for s in enumerate_states(config) if s.days_left > 0]
         for action in range(4):
             if all(component_mask(s, config)[action] for s in states):
                 policy = dict.fromkeys(states, action)
                 assert policy_value(policy, config) <= vstar
+
+    @pytest.mark.parametrize("constrained, calls", [(False, 880), (True, 681)])
+    def test_one_backup_per_legal_action(self, monkeypatch, constrained, calls):
+        config = CoinConfig(constrained=constrained)
+        backed_up = []
+
+        def counting_q_backup(state, action, value_of, config):
+            backed_up.append((state, action))
+            return q_backup(state, action, value_of, config)
+
+        monkeypatch.setattr(oracle, "q_backup", counting_q_backup)
+        states = live_states(config)
+        # each (live state, legal action) pair once
+        assert len(backed_up) == len(set(backed_up)) == calls
+        assert set(backed_up) == {
+            (s, a) for s in states for a in np.flatnonzero(component_mask(s, config))
+        }
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(coin_configs(sampled_probabilities))

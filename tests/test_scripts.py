@@ -53,7 +53,9 @@ def test_output_check_finds_a_tree_identical_to_itself(tmp_path, capsys):
     for side in ("parent", "this"):
         for path in ("component/compare/compare_table.csv",
                      "reliability/eval/episodes.csv",
-                     "horizon0_eval/episodes.csv", "horizon0_compare/compare_table.csv"):
+                     "horizon0_eval/episodes.csv", "horizon0_compare/compare_table.csv",
+                     "horizon0_oracle/oracle_table.csv",
+                     "horizon0_oracle_constrained/oracle_table.csv"):
             assert (tmp_path / side / path).is_file()
 
 
