@@ -2,7 +2,8 @@
 
 Runs both experiment scripts of this checkout, then a horizon-0 ``eval``,
 ``compare``, ``oracle`` and ``oracle --constrained`` on the component game
-(the only oracle table whose start state has no action), once with
+(the only oracle table whose start state has no action) and a reliability
+``train`` that scores a validation snapshot every 40 episodes, once with
 ``--parent``'s pdtwin and once with this checkout's, and compares the two
 output trees file by file. Every output is byte-reproducible from its
 command line, so any difference is a change in behaviour. Prints the files
@@ -11,9 +12,10 @@ that differ and exits 1 if any do.
     python3 scripts/check_outputs_identical.py --parent ../parent/src
 
 The sizes are those of the README recipe: 300 component and 120 reliability
-training episodes (the last of which scores a validation snapshot), 1000
-component and 200 reliability evaluation episodes. ``--episodes N`` sets all
-four to N for a smoke run.
+training episodes (the script's run scores one validation snapshot, at its
+last episode; the extra run scores three and keeps the best), 1000 component
+and 200 reliability evaluation episodes. ``--episodes N`` sets all four to N
+for a smoke run.
 """
 
 import argparse
@@ -28,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 HORIZON_ZERO = {"env": {"component": {"horizon": 0}}}
+SNAPSHOTS = {"train": {"snapshot_every": 40}}
 SIZES = {"component_train": 300, "reliability_train": 120,
          "component_eval": 1000, "reliability_eval": 200}
 
@@ -71,6 +74,11 @@ def write_outputs(src: Path, out: Path, sizes: dict) -> None:
     for name, extra in (("oracle", []), ("oracle_constrained", ["--constrained"])):
         run(src, ["-m", "pdtwin.cli", "oracle", *extra, "--config", str(config),
                   "--out", str(out / f"horizon0_{name}")])
+    snapshots = out / "snapshots.json"
+    snapshots.write_text(json.dumps(SNAPSHOTS) + "\n")
+    run(src, ["-m", "pdtwin.cli", "train", "--env", "reliability",
+              "--config", str(snapshots), "--episodes", str(sizes["reliability_train"]),
+              "--out", str(out / "reliability_snapshots")])
 
 
 def differences(a: Path, b: Path, where: Path = Path()) -> list:

@@ -123,6 +123,15 @@ def _reliability_episodes(path, summary, base_seed) -> tuple:
     return len(costs) / len(success), (float(np.mean(costs)) if costs else None)
 
 
+def _return_histogram(summary, component_config) -> tuple:
+    """Counts of the block's returns in 50 equal bins over [-return_bound,
+    return_bound], a range no return leaves, and the 51 bin edges. A bound of
+    0 (horizon 0) bins [-0.0, 1.0]."""
+    bound = component_config.return_bound
+    counts, edges = np.histogram(summary.returns, bins=50, range=(-bound, bound or 1.0))
+    return [int(c) for c in counts], [float(e) for e in edges]
+
+
 def cmd_eval(args) -> int:
     run_config = config_mod.load_run_config(
         args.config, args.env, seed=args.seed, constrained=args.constrained,
@@ -131,9 +140,7 @@ def cmd_eval(args) -> int:
     env = _make_env(args, run_config)
     policy = _load_policy(args.checkpoint, env, args)
     n = args.episodes
-    bound = run_config.component.return_bound
-    bin_range = (-bound, bound) if args.env == "component" else None
-    summary = evaluate_policy(env, policy, n, args.seed, bin_range=bin_range)
+    summary = evaluate_policy(env, policy, n, args.seed)
 
     if args.env == "reliability":
         rate, mean_cost = _reliability_episodes(out / "episodes.csv", summary, args.seed)
@@ -145,7 +152,11 @@ def cmd_eval(args) -> int:
             [args.seed + i, repr(ret), length]
             for i, (ret, length) in enumerate(zip(summary.returns, summary.lengths))
         ))
-        write_json(out / "summary.json", summary.to_json_dict())
+        counts, edges = _return_histogram(summary, run_config.component)
+        write_json(out / "summary.json", {
+            "mean": summary.mean, "sd": summary.sd, "min": summary.min,
+            "max": summary.max, "n_episodes": n, "bin_edges": edges, "bin_counts": counts,
+        })
     config_mod.write_resolved(
         out / "resolved_config.json", run_config,
         extra={"command": "eval", "env": args.env, "episodes": n,
@@ -191,17 +202,15 @@ def _compare_component(args, run_config, out, n) -> None:
         use_env = constrained_env if label == "dqn_constrained" else env
         policies.append((label, _load_policy(path, use_env, args), use_env))
 
-    bound = run_config.component.return_bound
-    bin_range = (-bound, bound)
     table_rows, bin_columns = [], []
     for name, policy, use_env in policies:
-        summary = evaluate_policy(use_env, policy, n, args.seed, bin_range=bin_range)
+        summary = evaluate_policy(use_env, policy, n, args.seed)
         table_rows.append(
             [name, repr(summary.mean), repr(summary.sd),
              repr(summary.min), repr(summary.max)]
         )
-        bin_columns.append(summary.bin_counts)
-        edges = summary.bin_edges  # the same for every policy: one bin_range
+        counts, edges = _return_histogram(summary, run_config.component)
+        bin_columns.append(counts)  # the edges are the same for every policy
     write_csv(out / "compare_table.csv", ["policy", "mean", "sd", "min", "max"],
               table_rows)
     write_csv(

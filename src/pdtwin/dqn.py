@@ -251,7 +251,9 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
         if config.snapshot_every is not None and (
             (episode + 1) % config.snapshot_every == 0 or episode + 1 == config.episodes
         ):
-            score = _validation_score(env, net, config)
+            score = evaluate_policy(  # mean greedy return on the validation block
+                env, QPolicy(net, env), config.snapshot_episodes, config.snapshot_seed_base
+            ).mean
             result.snapshot_scores.append((episode + 1, score))
             if score > best_score:
                 best_score = score
@@ -261,17 +263,6 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
         net.flat[...] = best_params
 
     return result
-
-
-def _validation_score(env, net, config) -> float:
-    """Mean greedy return over the fixed validation seed block."""
-    summary = evaluate_policy(
-        env, QPolicy(net, env), config.snapshot_episodes, config.snapshot_seed_base
-    )
-    total = 0.0
-    for ret in summary.returns:  # in order: sum() of floats is compensated in 3.12+
-        total += ret
-    return total / config.snapshot_episodes
 
 
 def _update(net, target, optimizer, buffer, config, rng) -> float:

@@ -194,7 +194,18 @@ def pf_given_theta(
     beta = np.asarray(beta, dtype=float)
     margin = mu_m + config.gamma * d
     scale = np.sqrt(float(beta @ beta) + config.sigma_a**2)
-    return float(ndtr(-margin / scale))
+    return float(_pf(margin, scale))
+
+
+def _pf(margins, scales):
+    """Phi(-margin / scale) elementwise; where a scale is 0 (no spread in beta
+    and sigma_a 0) its limit as the scale falls to 0: 0 for a margin above 0,
+    1 below 0 and 1/2 at 0."""
+    if scales.all():  # the common case, one check per call
+        return ndtr(-margins / scales)
+    zero = scales == 0.0
+    limit = 0.5 - 0.5 * np.sign(margins)
+    return np.where(zero, limit, ndtr(-margins / np.where(zero, 1.0, scales)))
 
 
 def _pf_scales(
@@ -221,7 +232,7 @@ def _pf_margins(
 
 def _pf_stats(margins: np.ndarray, scales: np.ndarray) -> tuple:
     """(E[p_f], Std(p_f)) over the draws of p_f = Phi(-margin / scale)."""
-    pf = ndtr(-margins / scales)
+    pf = _pf(margins, scales)
     return float(pf.mean()), float(pf.std(ddof=1))  # n_mc >= 2
 
 

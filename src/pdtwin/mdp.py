@@ -140,8 +140,6 @@ class EvalSummary:
     sd: float
     min: float
     max: float
-    bin_edges: tuple
-    bin_counts: tuple
     returns: tuple
     action_counts: np.ndarray  # (n_episodes, action_count) ints
     outcomes: tuple
@@ -149,17 +147,6 @@ class EvalSummary:
     @property
     def lengths(self) -> tuple:
         return tuple(int(n) for n in self.action_counts.sum(axis=1))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "sd": self.sd,
-            "min": self.min,
-            "max": self.max,
-            "n_episodes": len(self.returns),
-            "bin_edges": list(self.bin_edges),
-            "bin_counts": list(self.bin_counts),
-        }
 
 
 # episodes evaluate_policy plays side by side; bounds its live generators and states
@@ -201,20 +188,14 @@ def run_episode(env: Environment, policy: Policy, seed: int) -> EpisodeRecord:
 
 
 def evaluate_policy(
-    env: Environment,
-    policy: Policy,
-    n_episodes: int,
-    base_seed: int,
-    bin_range: tuple | None = None,
+    env: Environment, policy: Policy, n_episodes: int, base_seed: int
 ) -> EvalSummary:
     """Run ``n_episodes`` seeded episodes and summarize them.
 
     Episode i uses seed ``base_seed + i`` and makes the draws ``run_episode``
     makes at that seed; blocks of ``EVAL_BLOCK`` episodes run side by side, so
     a network's Q values may differ from ``run_episode``'s in the last bits
-    (see the module docstring). Returns are
-    counted in 50 bins over ``bin_range`` (default: their min to max). With a
-    single episode the sd is reported as 0.
+    (see the module docstring). With a single episode the sd is reported as 0.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
@@ -231,17 +212,11 @@ def evaluate_policy(
         outcomes.extend(env.outcome(state) for state in states)
     arr = np.asarray(returns)
     sd = float(arr.std(ddof=1)) if n_episodes > 1 else 0.0
-    lo, hi = (float(arr.min()), float(arr.max())) if bin_range is None else bin_range
-    if lo == hi:
-        hi = lo + 1.0
-    counts, edges = np.histogram(arr, bins=50, range=(lo, hi))
     return EvalSummary(
         mean=float(arr.mean()),
         sd=sd,
         min=float(arr.min()),
         max=float(arr.max()),
-        bin_edges=tuple(float(e) for e in edges),
-        bin_counts=tuple(int(c) for c in counts),
         returns=tuple(float(r) for r in returns),
         action_counts=action_counts,
         outcomes=tuple(outcomes),

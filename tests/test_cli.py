@@ -82,7 +82,12 @@ class TestEval:
         assert code == 0
         lines = (eval_out / "episodes.csv").read_text().splitlines()
         assert len(lines) == 21
-        assert json.loads((eval_out / "summary.json").read_text())["n_episodes"] == 20
+        summary = json.loads((eval_out / "summary.json").read_text())
+        assert sorted(summary) == [
+            "bin_counts", "bin_edges", "max", "mean", "min", "n_episodes", "sd"]
+        assert summary["n_episodes"] == 20
+        assert len(summary["bin_edges"]) == 51 and len(summary["bin_counts"]) == 50
+        assert sum(summary["bin_counts"]) == 20
 
     def test_missing_checkpoint_is_usage_error(self, tmp_path):
         code = run([
@@ -274,6 +279,34 @@ class TestHorizonZero:
         table = read_csv(cmp_out / "compare_table.csv")
         assert [r["policy"] for r in table] == ["random", "oracle", "dqn_unconstrained"]
         assert all(r[k] == "0.0" for r in table for k in ("mean", "sd", "min", "max"))
+
+
+class TestPointMassReliability:
+    """Every prior a point mass, beta known to be 0 and sigma_a 0: every scale
+    of the p_f estimate is 0 and every margin is 0, so each draw's p_f is 1/2
+    and the first action confirms p_f above the target."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_train_and_compare(self, tmp_path, capsys):
+        config = tmp_path / "point.json"
+        config.write_text(json.dumps({"env": {"reliability": {
+            "sigma_a": 0.0, "prior_beta_mean": 0.0, "prior_beta_var": 0.0,
+            "prior_defect_mean": 0.0, "prior_defect_var": 0.0,
+            "prior_discrepancy_mean": 0.0, "prior_discrepancy_var": 0.0,
+        }}}))
+        out = train_tiny(tmp_path, env="reliability",
+                         extra=("--config", str(config)))
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
+        cmp_out = tmp_path / "cmp"
+        assert run(["compare", "--env", "reliability", "--episodes", "5",
+                    "--config", str(config), "--checkpoint",
+                    str(out / "checkpoint.npz"), "--out", str(cmp_out)]) == 0
+        for name in ("random", "benchmark", "dqn"):
+            rows = read_csv(cmp_out / f"episodes_{name}.csv")
+            assert [r["outcome"] for r in rows] == ["confirmed_above"] * 5
+            assert all(int(r["n_measurement"]) + int(r["n_fe"]) + int(r["n_lab"]) == 1
+                       for r in rows)
 
 
 class TestHistogramRange:

@@ -240,11 +240,6 @@ class TestEvaluatePolicy:
         with pytest.raises(ValueError):
             evaluate_policy(TwoStepEnv(), FunctionPolicy(lambda s: 0), 0, 0)
 
-    def test_histogram_counts_sum(self):
-        env = ComponentEnv()
-        summary = evaluate_policy(env, RandomPolicy(), 60, 1, bin_range=(-1e7, 1e7))
-        assert sum(summary.bin_counts) == 60
-
 
 class TestExports:
     def test_csv_round_trip(self, tmp_path):
@@ -266,13 +261,11 @@ class TestExports:
         assert rows[0]["seed"] == "3"
 
     def test_json_summary(self, tmp_path):
-        summary = evaluate_policy(TwoStepEnv(), FunctionPolicy(lambda s: 0), 3, 0)
+        block = {"mean": 0.1 + 0.2, "n_episodes": 3, "bin_counts": [1, 2], "cost": None}
         path = tmp_path / "summary.json"
-        write_json(path, summary.to_json_dict())
+        write_json(path, block)
         text = path.read_text()
-        block = json.loads(text)
-        assert block["mean"] == summary.mean
-        assert block["n_episodes"] == 3
+        assert json.loads(text) == block
         assert text == json.dumps(block, indent=2, sort_keys=True) + "\n"
 
 

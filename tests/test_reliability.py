@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.special import ndtr
 from pdtwin.beliefs import GaussianBelief
 from pdtwin.envs.reliability import (
     CONFIRMED_ABOVE, CONFIRMED_BELOW, FAILED, FE, LAB, MEASUREMENT, UNDECIDED,
-    ReliabilityConfig, ReliabilityEnv, SurrogatePosterior,
+    CrnNormals, ReliabilityConfig, ReliabilityEnv, SurrogatePosterior,
     benchmark_policy_action, check_objective, estimate_pf_stats, pf_given_theta,
     select_fe_input,
 )
@@ -60,6 +61,14 @@ class TestPfGivenTheta:
         cfg = CONFIG
         pf = pf_given_theta(np.full(cfg.input_dim, 0.5), 0.5, 2.8, cfg)
         assert 0.0 < pf < 1.0
+
+    @pytest.mark.parametrize("mu_m, expected", [(1.0, 0.0), (-1.0, 1.0), (0.0, 0.5)])
+    def test_zero_scale_is_the_limit(self, mu_m, expected):
+        # beta = 0 and sigma_a = 0: Phi(-m / s) as s -> 0+, with no warning
+        cfg = dataclasses.replace(CONFIG, sigma_a=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pf_given_theta(np.zeros(cfg.input_dim), 0.0, mu_m, cfg) == expected
 
 
 class TestSurrogatePosterior:
@@ -146,6 +155,24 @@ class TestEstimatePfStats:
         assert mean == pytest.approx(
             pf_given_theta(np.full(CONFIG.input_dim, 0.5), 0.5, 2.8, CONFIG)
         )
+
+    def test_zero_scales_count_the_sign_of_each_margin(self):
+        # a known zero surrogate and sigma_a 0 make every scale 0, so a draw's
+        # p_f is 1 where its margin mu_m + gamma d is below 0, 0 where above
+        cfg = dataclasses.replace(CONFIG, sigma_a=0.0)
+        k = cfg.input_dim
+        state = dataclasses.replace(
+            fresh_state(),
+            surrogate=SurrogatePosterior.from_arrays(np.zeros(k), np.zeros((k, k))),
+            defect_belief=GaussianBelief(0.0, 0.0),
+            discrepancy_belief=GaussianBelief(0.0, 1.0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = estimate_pf_stats(state, cfg, 3)
+        pf = (CrnNormals.draw(3, cfg).discrepancy < 0.0).astype(float)
+        assert 0.0 < pf.mean() < 1.0
+        assert stats == (pf.mean(), pf.std(ddof=1))
 
 
 class TestCheckObjective:
