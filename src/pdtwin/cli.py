@@ -20,22 +20,18 @@ import numpy as np
 from . import config as config_mod
 from .dqn import QPolicy, train
 from .envs.component import ComponentEnv
-from .envs.reliability import (
-    FAILED, ReliabilityEnv, benchmark_policy_action,
-)
+from .envs.reliability import FAILED, ReliabilityEnv, benchmark_policy_action
 from .mdp import FunctionPolicy, RandomPolicy, evaluate_policy, write_csv, write_json
 from .nets import load_checkpoint, save_checkpoint
-from .oracle import OraclePolicy, TabularState, backward_induction, table_to_csv
+from .oracle import (
+    HorizonTooDeep, OraclePolicy, TabularState, backward_induction, table_to_csv,
+)
 
 OUT_DIR_ENV_VAR = "PDTWIN_OUT"
 
 
-class MissingCheckpoint(FileNotFoundError):
-    """A policy checkpoint required by the command does not exist."""
-
-
 class CheckpointMismatch(ValueError):
-    """A checkpoint cannot be read, or has another env, encoding or net shape."""
+    """A missing or unreadable checkpoint, or one of another env, encoding or shape."""
 
 
 def _out_dir(args) -> Path:
@@ -53,7 +49,7 @@ def _make_env(args, run_config):
 
 def _load_policy(path, env, args) -> QPolicy:
     if not Path(path).is_file():
-        raise MissingCheckpoint(f"no checkpoint file at {path}")
+        raise CheckpointMismatch(f"no checkpoint file at {path}")
     try:
         net, meta = load_checkpoint(path)
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
@@ -73,12 +69,7 @@ def _load_policy(path, env, args) -> QPolicy:
     return QPolicy(net, env)
 
 
-def cmd_train(args) -> int:
-    run_config = config_mod.load_run_config(
-        args.config, args.env, seed=args.seed, episodes=args.episodes,
-        constrained=args.constrained,
-    )
-    out = _out_dir(args)
+def cmd_train(args, run_config, out) -> dict:
     env = _make_env(args, run_config)
     result = train(env, run_config.train)
     if all(np.isnan(result.loss_moving_average)):  # no gradient step ran
@@ -97,13 +88,8 @@ def cmd_train(args) -> int:
          for i, (ret, lma) in enumerate(
              zip(result.episode_returns, result.loss_moving_average))),
     )
-    config_mod.write_resolved(
-        out / "resolved_config.json", run_config,
-        extra={"command": "train", "env": args.env, "encoding": args.encoding,
-               "constrained": args.constrained},
-    )
     print(f"wrote {out / 'checkpoint.npz'} and {out / 'curve.csv'}")
-    return 0
+    return {"env": args.env, "encoding": args.encoding, "constrained": args.constrained}
 
 
 def _reliability_episodes(path, summary, base_seed) -> tuple:
@@ -132,11 +118,7 @@ def _return_histogram(summary, component_config) -> tuple:
     return [int(c) for c in counts], [float(e) for e in edges]
 
 
-def cmd_eval(args) -> int:
-    run_config = config_mod.load_run_config(
-        args.config, args.env, seed=args.seed, constrained=args.constrained,
-    )
-    out = _out_dir(args)
+def cmd_eval(args, run_config, out) -> dict:
     env = _make_env(args, run_config)
     policy = _load_policy(args.checkpoint, env, args)
     n = args.episodes
@@ -157,20 +139,11 @@ def cmd_eval(args) -> int:
             "mean": summary.mean, "sd": summary.sd, "min": summary.min,
             "max": summary.max, "n_episodes": n, "bin_edges": edges, "bin_counts": counts,
         })
-    config_mod.write_resolved(
-        out / "resolved_config.json", run_config,
-        extra={"command": "eval", "env": args.env, "episodes": n,
-               "seed": args.seed},
-    )
     print(f"wrote {out / 'episodes.csv'} and {out / 'summary.json'}")
-    return 0
+    return {"env": args.env, "episodes": n, "seed": args.seed}
 
 
-def cmd_oracle(args) -> int:
-    run_config = config_mod.load_run_config(
-        args.config, "component", constrained=args.constrained,
-    )
-    out = _out_dir(args)
+def cmd_oracle(args, run_config, out) -> dict:
     table = backward_induction(run_config.component)
     table_to_csv(out / "oracle_table.csv", table)
     start = TabularState(0, 0, run_config.component.horizon)
@@ -180,12 +153,8 @@ def cmd_oracle(args) -> int:
         "constrained": run_config.component.constrained,
         "n_states": len(table.values),
     })
-    config_mod.write_resolved(
-        out / "resolved_config.json", run_config,
-        extra={"command": "oracle", "constrained": args.constrained},
-    )
     print(f"V* = {table.values[start]!r}; wrote {out / 'oracle_table.csv'}")
-    return 0
+    return {"constrained": args.constrained}
 
 
 def _compare_component(args, run_config, out, n) -> None:
@@ -248,21 +217,14 @@ def _compare_reliability(args, run_config, out, n) -> None:
     )
 
 
-def cmd_compare(args) -> int:
-    run_config = config_mod.load_run_config(args.config, args.env, constrained=False)
-    out = _out_dir(args)
+def cmd_compare(args, run_config, out) -> dict:
     n = args.episodes or (1000 if args.env == "component" else 200)
     if args.env == "component":
         _compare_component(args, run_config, out, n)
     else:
         _compare_reliability(args, run_config, out, n)
-    config_mod.write_resolved(
-        out / "resolved_config.json", run_config,
-        extra={"command": "compare", "env": args.env, "episodes": n,
-               "seed": args.seed},
-    )
     print(f"wrote {out / 'compare_table.csv'}")
-    return 0
+    return {"env": args.env, "episodes": n, "seed": args.seed}
 
 
 def _int_at_least(low: int):
@@ -295,30 +257,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, flags, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def command(name, fn, flags, help, config_flags=(), **defaults):
+        """``config_flags`` name the parsed flags that override the run config."""
+        p = sub.add_parser(name, help=help)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, config_flags=config_flags, **defaults)
         return p
 
-    p_train = command("train", cmd_train, _FLAGS, help="train a DQN policy")
+    p_train = command("train", cmd_train, _FLAGS, "train a DQN policy",
+                      ("seed", "episodes"))
     p_train.add_argument("--episodes", type=int, default=None,
                          help="training episodes (default: the config's "
                               "train.episodes, 3000 component, 5000 reliability)")
 
-    p_eval = command("eval", cmd_eval, _FLAGS, help="evaluate a checkpoint greedily")
+    p_eval = command("eval", cmd_eval, _FLAGS, "evaluate a checkpoint greedily",
+                     ("seed",))
     p_eval.add_argument("--episodes", type=_int_at_least(1), default=1000,
                         help="episodes, >= 1 (default: %(default)s)")
     p_eval.add_argument("--checkpoint", required=True)
 
     command("oracle", cmd_oracle, ("--config", "--out", "--constrained"),
-            help="exact backward induction table")
+            "exact backward induction table", env="component")
 
     p_compare = command(
         "compare", cmd_compare,
         ("--env", "--config", "--seed", "--out", "--encoding"),
-        help="compare policies side by side",
+        "compare policies side by side", constrained=False,
     )
     p_compare.add_argument("--episodes", type=_int_at_least(1), default=None,
                            help="episodes per policy, >= 1 (default: 1000 "
@@ -330,13 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """The frame every command runs in: load the run config, make the output
+    directory, run the command and write ``resolved_config.json`` with the
+    ``run`` block the command returns."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        env = getattr(args, "env", None)  # oracle has no --env
+        env = args.env
         if env == "reliability" and args.encoding == "set":
             parser.error("--encoding set needs --env component")
-        if env == "reliability" and getattr(args, "constrained", False):
+        if env == "reliability" and args.constrained:
             parser.error("--constrained needs --env component")
         if args.command == "compare" and len(args.checkpoint or []) > _MAX_CHECKPOINTS[env]:
             parser.error(f"compare --env {env} takes at most "
@@ -344,8 +312,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except (config_mod.ConfigError, MissingCheckpoint, CheckpointMismatch) as exc:
+        run_config = config_mod.load_run_config(
+            args.config, env, constrained=args.constrained,
+            **{flag: getattr(args, flag) for flag in args.config_flags},
+        )
+        out = _out_dir(args)
+        run = args.fn(args, run_config, out)
+        config_mod.write_resolved(out / "resolved_config.json", run_config,
+                                  extra={"command": args.command, **run})
+        return 0
+    except (config_mod.ConfigError, CheckpointMismatch, HorizonTooDeep) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

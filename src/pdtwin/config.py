@@ -1,6 +1,6 @@
 """Run configuration: JSON config files merged over dataclass defaults.
 
-The file is a plain JSON object with optional sections::
+The file is a JSON object with optional sections, each but ``run`` an object::
 
     {
       "env": {"component": {...}, "reliability": {...}},
@@ -114,19 +114,19 @@ def load_run_config(
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-    env_section = raw.get("env", {})
     for key in raw:
         if key not in ("env", "train", "run"):
             raise ConfigError(f"unknown top-level section {key!r}")
-    for key in env_section:
+    envs = _section(raw, "env")
+    for key in envs:
         if key not in ("component", "reliability"):
             raise ConfigError(f"unknown env section {key!r}")
 
     component = _build(
-        CoinConfig, env_section.get("component", {}),
+        CoinConfig, _section(envs, "component", "env."),
         {"constrained": True} if constrained else {},
     )
-    reliability = _build(ReliabilityConfig, env_section.get("reliability", {}))
+    reliability = _build(ReliabilityConfig, _section(envs, "reliability", "env."))
 
     train_defaults = (
         COMPONENT_TRAIN_DEFAULTS if environment == "component"
@@ -134,18 +134,25 @@ def load_run_config(
     )
     cli_train = {key: value for key, value in (("seed", seed), ("episodes", episodes))
                  if value is not None}
-    train = _build(TrainConfig, train_defaults, raw.get("train", {}), cli_train)
+    train = _build(TrainConfig, train_defaults, _section(raw, "train"), cli_train)
     return RunConfig(component, reliability, train)
 
 
-def write_resolved(path, config: RunConfig, extra: dict | None = None) -> None:
-    block = {
+def _section(parent: dict, key: str, prefix: str = "") -> dict:
+    """The section ``key`` of ``parent``, empty if absent; it must be an object."""
+    value = parent.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {prefix}{key} must be a JSON object, "
+                          f"got {json.dumps(value)}")
+    return value
+
+
+def write_resolved(path, config: RunConfig, extra: dict) -> None:
+    write_json(path, {
         "env": {
             "component": dataclasses.asdict(config.component),
             "reliability": dataclasses.asdict(config.reliability),
         },
         "train": dataclasses.asdict(config.train),
-    }
-    if extra:
-        block["run"] = extra
-    write_json(path, block)
+        "run": extra,
+    })

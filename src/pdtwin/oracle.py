@@ -13,6 +13,7 @@ break toward the lowest action index, which makes the optimal policy unique.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,6 +27,10 @@ from .mdp import Policy, PolicyReturnedMaskedAction, write_csv
 
 class PolicyUndefinedAtState(KeyError):
     """policy_value hit a reachable state the policy does not cover."""
+
+
+class HorizonTooDeep(ValueError):
+    """The recursion ran out of Python stack before the last day of the horizon."""
 
 
 def q_backup(
@@ -60,7 +65,8 @@ def _solve(config: CoinConfig, actions_at: Callable[[TabularState], list]) -> Va
     backs up the actions ``actions_at`` gives it, once each, and keeps the first
     best. Two frames per day (``value`` -> ``q_backup`` -> ``value``): Python's
     default recursion limit allows a horizon of about 490 days, where a table
-    would hold C(493, 3), about 20 million states, so memory runs out first."""
+    would hold C(493, 3), about 20 million states, so memory runs out near
+    there; a deeper horizon raises ``HorizonTooDeep`` before the table grows."""
     values: dict = {}
     actions: dict = {}
 
@@ -76,7 +82,13 @@ def _solve(config: CoinConfig, actions_at: Callable[[TabularState], list]) -> Va
         values[state] = best
         return best
 
-    value(TabularState(0, 0, config.horizon))
+    try:
+        value(TabularState(0, 0, config.horizon))
+    except RecursionError as exc:
+        raise HorizonTooDeep(
+            f"horizon {config.horizon} is too deep for the exact oracle, which "
+            f"recurses two frames per day under a recursion limit of "
+            f"{sys.getrecursionlimit()}") from exc
     return ValueTable(values, actions)
 
 

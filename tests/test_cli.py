@@ -89,12 +89,15 @@ class TestEval:
         assert len(summary["bin_edges"]) == 51 and len(summary["bin_counts"]) == 50
         assert sum(summary["bin_counts"]) == 20
 
-    def test_missing_checkpoint_is_usage_error(self, tmp_path):
+    def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):
+        checkpoint, out = tmp_path / "nope.npz", tmp_path / "o"
         code = run([
-            "eval", "--env", "component", "--checkpoint",
-            str(tmp_path / "nope.npz"), "--out", str(tmp_path / "o"),
+            "eval", "--env", "component", "--checkpoint", str(checkpoint),
+            "--out", str(out),
         ])
         assert code == 1
+        assert capsys.readouterr().err == f"error: no checkpoint file at {checkpoint}\n"
+        assert not (out / "resolved_config.json").exists()
 
     def test_checkpoint_directory_is_usage_error(self, tmp_path, capsys):
         directory = tmp_path / "checkpoint.npz"
@@ -321,6 +324,55 @@ class TestHistogramRange:
             assert sum(int(r[name]) for r in rows) == 400
 
 
+class TestCommandFrame:
+    """main loads the run config, makes the output directory and writes
+    resolved_config.json for every command. Only train's --seed and
+    --episodes and eval's --seed reach the run config."""
+
+    def test_flags_reach_the_config_and_run_block(self, tmp_path):
+        out = train_tiny(tmp_path, episodes=3, extra=("--seed", "7"))
+        flags = ["--env", "component", "--episodes", "3", "--seed", "7"]
+        assert run(["eval", *flags, "--checkpoint", str(out / "checkpoint.npz"),
+                    "--out", str(tmp_path / "eval")]) == 0
+        assert run(["compare", *flags, "--out", str(tmp_path / "compare")]) == 0
+        assert run(["oracle", "--out", str(tmp_path / "oracle")]) == 0
+        expected = {  # command -> train.seed, train.episodes, run block
+            "train": (7, 3, {"command": "train", "env": "component",
+                             "encoding": "compressed", "constrained": False}),
+            "eval": (7, 3000, {"command": "eval", "env": "component",
+                               "episodes": 3, "seed": 7}),
+            "compare": (0, 3000, {"command": "compare", "env": "component",
+                                  "episodes": 3, "seed": 7}),
+            "oracle": (0, 3000, {"command": "oracle", "constrained": False}),
+        }
+        for command, (seed, episodes, run_block) in expected.items():
+            resolved = json.loads((tmp_path / command / "resolved_config.json").read_text())
+            assert resolved["train"]["seed"] == seed, command
+            assert resolved["train"]["episodes"] == episodes, command
+            assert resolved["run"] == run_block
+
+
+class TestDeepHorizon:
+    """Past about 490 days the exact oracle's recursion runs out of Python
+    stack. The commands that build the oracle table say so; training does
+    not build it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle"], ["compare", "--env", "component", "--episodes", "1"],
+    ])
+    def test_oracle_commands_are_usage_errors(self, tmp_path, capsys, argv):
+        config = component_config(tmp_path, horizon=600)
+        assert run([*argv, "--config", config, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: horizon 600 is too deep for the exact oracle")
+
+    def test_train_runs(self, tmp_path):
+        out = train_tiny(tmp_path, episodes=1,
+                         extra=("--config", component_config(tmp_path, horizon=600)))
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["env"]["component"]["horizon"] == 600
+
+
 class TestReproducibility:
     def test_train_rerun_byte_identical_csv(self, tmp_path):
         a = train_tiny(tmp_path, name="a", episodes=25)
@@ -382,6 +434,23 @@ class TestParsing:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("config, section", [
+        ({"env": []}, "env"),
+        ({"env": {"component": 5}}, "env.component"),
+        ({"env": {"reliability": None}}, "env.reliability"),
+        ({"train": [1]}, "train"),
+        ({"train": None}, "train"),
+    ])
+    def test_section_that_is_not_an_object_is_usage_error(
+            self, tmp_path, capsys, config, section):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert run(["oracle", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: config section {section} must be a JSON object, got ")
+        assert not out.exists()
 
     def test_replay_smaller_than_warmup_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "small.json"

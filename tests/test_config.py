@@ -76,6 +76,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_run_config(str(path), "component")
 
+    @pytest.mark.parametrize("run", [{"command": "train"}, 5, None, [1]])
+    def test_run_section_is_not_read(self, tmp_path, run):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"run": run}))
+        assert load_run_config(str(path), "component") == load_run_config(None, "component")
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("{not json")

@@ -11,7 +11,7 @@ from pdtwin.envs.component import (
 from pdtwin.mdp import PolicyReturnedMaskedAction, evaluate_policy
 from pdtwin import oracle
 from pdtwin.oracle import (
-    OraclePolicy, PolicyUndefinedAtState, TabularState, backward_induction,
+    HorizonTooDeep, OraclePolicy, PolicyUndefinedAtState, TabularState, backward_induction,
     policy_value, q_backup, table_to_csv,
 )
 
@@ -126,6 +126,11 @@ class TestPolicyValue:
         policy = dict.fromkeys(live_states(config), USE)
         with pytest.raises(PolicyReturnedMaskedAction):
             policy_value(policy, config)
+
+    def test_horizon_past_the_recursion_limit_is_named(self):
+        # two frames per day: 600 days need 1200, past the default limit of 1000
+        with pytest.raises(HorizonTooDeep, match="horizon 600 is too deep"):
+            backward_induction(CoinConfig(horizon=600))
 
 
 # probabilities with the 0/1 boundaries drawn often

@@ -3,6 +3,7 @@ breaks one of their command lines fails here."""
 
 import csv
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -58,6 +59,12 @@ def test_output_check_finds_a_tree_identical_to_itself(tmp_path, capsys):
                      "horizon0_oracle_constrained/oracle_table.csv",
                      "reliability_snapshots/checkpoint.npz"):
             assert (tmp_path / side / path).is_file()
+    # the snapshot run trains at seed 1; eval's --seed 7 reaches the config,
+    # compare's does not
+    seeds = [json.loads((tmp_path / "this" / name / "resolved_config.json").read_text())
+             ["train"]["seed"]
+             for name in ("reliability_snapshots", "horizon0_eval", "horizon0_compare")]
+    assert seeds == [1, 7, 0]
 
 
 def test_output_check_names_a_differing_file(tmp_path):
