@@ -34,13 +34,6 @@ class CheckpointMismatch(ValueError):
     """A missing or unreadable checkpoint, or one of another env, encoding or shape."""
 
 
-def _out_dir(args) -> Path:
-    out = os.environ.get(OUT_DIR_ENV_VAR) or args.out
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _make_env(args, run_config):
     if args.env == "component":
         return ComponentEnv(run_config.component, encoding=args.encoding)
@@ -311,18 +304,22 @@ def main(argv=None) -> int:
                          f"{_MAX_CHECKPOINTS[env]} --checkpoint")
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    out = Path(os.environ.get(OUT_DIR_ENV_VAR) or args.out)
+    made = not out.exists()  # an exit 1 removes it again if it stays empty
     try:
         run_config = config_mod.load_run_config(
             args.config, env, constrained=args.constrained,
             **{flag: getattr(args, flag) for flag in args.config_flags},
         )
-        out = _out_dir(args)
+        out.mkdir(parents=True, exist_ok=True)
         run = args.fn(args, run_config, out)
         config_mod.write_resolved(out / "resolved_config.json", run_config,
                                   extra={"command": args.command, **run})
         return 0
     except (config_mod.ConfigError, CheckpointMismatch, HorizonTooDeep) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if made and out.is_dir() and not any(out.iterdir()):
+            out.rmdir()
         return 1
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)

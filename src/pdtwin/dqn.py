@@ -132,23 +132,15 @@ def epsilon_greedy(
     """One action per row of the (B, A) ``q_values`` and ``masks``: with
     probability epsilon uniform over the row's legal actions, else its masked
     argmax. Row j draws one ``random()`` from ``rngs[j]``, and one ``integers``
-    more only when it explores; the argmax is taken only over rows that do not."""
-    actions = np.empty(len(rngs), dtype=np.int64)
-    greedy = []
+    more only when it explores."""
+    if not masks.any(axis=1).all():
+        raise NoLegalAction("action mask admits no action")
+    # ties resolve to the lowest index; exploring rows overwrite theirs
+    actions = np.argmax(np.where(masks, q_values, -np.inf), axis=1)
     for j, rng in enumerate(rngs):
         if rng.random() < epsilon:
             legal = np.flatnonzero(masks[j])
-            if len(legal) == 0:
-                raise NoLegalAction("action mask admits no action")
             actions[j] = legal[rng.integers(len(legal))]
-        else:
-            greedy.append(j)
-    if greedy:
-        rows = slice(None) if len(greedy) == len(rngs) else greedy
-        if not masks[rows].any(axis=1).all():
-            raise NoLegalAction("action mask admits no action")
-        # ties resolve to the lowest index
-        actions[rows] = np.argmax(np.where(masks[rows], q_values[rows], -np.inf), axis=1)
     return actions
 
 
@@ -215,12 +207,12 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
         done = env.done(state)
         enc, mask = env.encode(state), env.action_mask(state)
         while not done:
-            q = net.forward(enc.elements, enc.aux)
+            q, _ = net.forward_batch(SetBatch([enc.elements], enc.aux[None]))
             if not np.isfinite(q).all():
                 raise DivergenceDetected(
                     f"non-finite Q values at episode {episode}, step {global_step + 1}"
                 )
-            action = int(epsilon_greedy(q[None], mask[None], epsilon, [train_rng])[0])
+            action = int(epsilon_greedy(q, mask[None], epsilon, [train_rng])[0])
             state, reward = env.step(state, action, env_rng)
             done = env.done(state)
             ep_return += reward

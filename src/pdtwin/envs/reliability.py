@@ -259,6 +259,12 @@ def check_objective(mean: float, sd: float, target: float) -> str:
     return UNDECIDED
 
 
+def _observed(belief: GaussianBelief, truth: float, noise_var: float, rng):
+    """The belief conditioned on one draw of truth plus N(0, noise_var) noise."""
+    obs = truth + np.sqrt(noise_var) * rng.standard_normal()
+    return gaussian_condition(belief, float(obs), noise_var)
+
+
 def select_fe_input(pool: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """Myopic design choice: the candidate with maximal predictive variance,
     given the surrogate's predictive variance at every candidate."""
@@ -310,6 +316,7 @@ class ReliabilityEnv(Environment):
         discrepancy = GaussianBelief(cfg.prior_discrepancy_mean, cfg.prior_discrepancy_var)
         margins = _pf_margins(defect, discrepancy, normals, cfg)
         scales = _pf_scales(surrogate, normals, cfg)
+        stats = _pf_stats(margins, scales)
         return ReliabilityState(
             surrogate=surrogate,
             defect_belief=defect,
@@ -320,11 +327,12 @@ class ReliabilityEnv(Environment):
             true_beta=_read_only(beta),
             true_defect=float(d),
             true_discrepancy=float(mu),
-            pf_stats=_pf_stats(margins, scales),
+            pf_stats=stats,
             pool_variance=self._prior_pool_variance,
             crn_normals=normals,
             pf_margins=margins,
             pf_scales=scales,
+            outcome=self._verdict(stats, 0),
         )
 
     def action_mask(self, state) -> np.ndarray:
@@ -341,24 +349,16 @@ class ReliabilityEnv(Environment):
         # a step changes one half of the p_f estimate; the other is reused
         margins, scales = state.pf_margins, state.pf_scales
         if action == MEASUREMENT:
-            obs = state.true_defect + np.sqrt(
-                cfg.measurement_noise_var
-            ) * rng.standard_normal()
-            defect = gaussian_condition(
-                state.defect_belief, float(obs), cfg.measurement_noise_var
-            )
+            defect = _observed(state.defect_belief, state.true_defect,
+                               cfg.measurement_noise_var, rng)
             margins = _pf_margins(
                 defect, state.discrepancy_belief, state.crn_normals, cfg
             )
             changes = {"defect_belief": defect}
             reward = cfg.cost_measurement
         elif action == LAB:
-            obs = state.true_discrepancy + np.sqrt(
-                cfg.lab_noise_var
-            ) * rng.standard_normal()
-            discrepancy = gaussian_condition(
-                state.discrepancy_belief, float(obs), cfg.lab_noise_var
-            )
+            discrepancy = _observed(state.discrepancy_belief, state.true_discrepancy,
+                                    cfg.lab_noise_var, rng)
             margins = _pf_margins(
                 state.defect_belief, discrepancy, state.crn_normals, cfg
             )
@@ -384,19 +384,27 @@ class ReliabilityEnv(Environment):
 
         actions_taken = state.actions_taken + 1
         stats = _pf_stats(margins, scales)
-        verdict = check_objective(*stats, cfg.target)
-        if verdict == UNDECIDED and actions_taken >= cfg.max_actions:
-            verdict, reward = FAILED, reward + cfg.failure_penalty
+        verdict = self._verdict(stats, actions_taken)
+        if verdict == FAILED:
+            reward += cfg.failure_penalty
         next_state = replace(
             state,
             actions_taken=actions_taken,
-            outcome=None if verdict == UNDECIDED else verdict,
+            outcome=verdict,
             pf_stats=stats,
             pf_margins=margins,
             pf_scales=scales,
             **changes,
         )
         return next_state, reward
+
+    def _verdict(self, stats: tuple, actions_taken: int) -> str | None:
+        """The stopping rule: the confirmed side once (E, Std) clears the
+        target, FAILED once the budget is spent, else None."""
+        verdict = check_objective(*stats, self.config.target)
+        if verdict != UNDECIDED:
+            return verdict
+        return FAILED if actions_taken >= self.config.max_actions else None
 
     def surrogate_spread(self, state: ReliabilityState) -> float:
         """Largest remaining predictive sd over the design pool, in [0, 1]

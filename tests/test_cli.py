@@ -97,7 +97,18 @@ class TestEval:
         ])
         assert code == 1
         assert capsys.readouterr().err == f"error: no checkpoint file at {checkpoint}\n"
-        assert not (out / "resolved_config.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("files", [[], ["keep.txt"]])
+    def test_exit_1_leaves_an_existing_out_dir_as_it_was(self, tmp_path, files):
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in files:
+            (out / name).write_text("kept\n")
+        assert run(["eval", "--env", "component", "--checkpoint",
+                    str(tmp_path / "nope.npz"), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == files
+        assert all((out / name).read_text() == "kept\n" for name in files)
 
     def test_checkpoint_directory_is_usage_error(self, tmp_path, capsys):
         directory = tmp_path / "checkpoint.npz"
@@ -285,31 +296,48 @@ class TestHorizonZero:
 
 
 class TestPointMassReliability:
-    """Every prior a point mass, beta known to be 0 and sigma_a 0: every scale
-    of the p_f estimate is 0 and every margin is 0, so each draw's p_f is 1/2
-    and the first action confirms p_f above the target."""
+    """beta known to be 0 and sigma_a 0: every scale of the p_f estimate is 0,
+    so each draw's p_f is the zero-scale limit of its margin."""
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_train_and_compare(self, tmp_path, capsys):
+    ZERO_SCALES = {"sigma_a": 0.0, "prior_beta_mean": 0.0, "prior_beta_var": 0.0,
+                   "prior_defect_mean": 0.0, "prior_defect_var": 0.0,
+                   "prior_discrepancy_mean": 0.0}
+
+    def train_and_compare(self, tmp_path, settings) -> dict:
+        """Train on and compare 5 episodes of the given reliability settings;
+        returns each policy's episode rows."""
         config = tmp_path / "point.json"
-        config.write_text(json.dumps({"env": {"reliability": {
-            "sigma_a": 0.0, "prior_beta_mean": 0.0, "prior_beta_var": 0.0,
-            "prior_defect_mean": 0.0, "prior_defect_var": 0.0,
-            "prior_discrepancy_mean": 0.0, "prior_discrepancy_var": 0.0,
-        }}}))
+        config.write_text(json.dumps({"env": {"reliability": settings}}))
         out = train_tiny(tmp_path, env="reliability",
                          extra=("--config", str(config)))
-        assert "RuntimeWarning" not in capsys.readouterr().err
-
         cmp_out = tmp_path / "cmp"
         assert run(["compare", "--env", "reliability", "--episodes", "5",
                     "--config", str(config), "--checkpoint",
                     str(out / "checkpoint.npz"), "--out", str(cmp_out)]) == 0
-        for name in ("random", "benchmark", "dqn"):
-            rows = read_csv(cmp_out / f"episodes_{name}.csv")
+        return {name: read_csv(cmp_out / f"episodes_{name}.csv")
+                for name in ("random", "benchmark", "dqn")}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_train_and_compare(self, tmp_path, capsys):
+        # every prior a point mass: every margin is 0 and each draw's p_f is
+        # 1/2, so the reset state already confirms p_f above the target
+        settings = dict(self.ZERO_SCALES, prior_discrepancy_var=0.0)
+        for rows in self.train_and_compare(tmp_path, settings).values():
             assert [r["outcome"] for r in rows] == ["confirmed_above"] * 5
-            assert all(int(r["n_measurement"]) + int(r["n_fe"]) + int(r["n_lab"]) == 1
+            assert all(int(r["n_measurement"]) + int(r["n_fe"]) + int(r["n_lab"]) == 0
                        for r in rows)
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_scales_through_step(self, tmp_path, capsys):
+        # a discrepancy of N(0, 1) leaves the prior undecided at (0.506,
+        # 0.500), so every episode steps through the zero-scale branch
+        settings = dict(self.ZERO_SCALES, prior_discrepancy_var=1.0)
+        for rows in self.train_and_compare(tmp_path, settings).values():
+            assert len(rows) == 5
+            assert all(int(r["n_measurement"]) + int(r["n_fe"]) + int(r["n_lab"]) >= 1
+                       for r in rows)
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
 
 class TestHistogramRange:
@@ -362,9 +390,11 @@ class TestDeepHorizon:
     ])
     def test_oracle_commands_are_usage_errors(self, tmp_path, capsys, argv):
         config = component_config(tmp_path, horizon=600)
-        assert run([*argv, "--config", config, "--out", str(tmp_path / "o")]) == 1
+        out = tmp_path / "o"
+        assert run([*argv, "--config", config, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(
             "error: horizon 600 is too deep for the exact oracle")
+        assert not out.exists()
 
     def test_train_runs(self, tmp_path):
         out = train_tiny(tmp_path, episodes=1,

@@ -9,6 +9,7 @@ from pdtwin.dqn import (
 )
 from pdtwin.envs.component import CoinConfig, CoinState, ComponentEnv
 from pdtwin.mdp import Environment, StateEncoding, evaluate_policy
+from pdtwin.nets import DeepSetsNet
 from pdtwin.oracle import TabularState, backward_induction, policy_value
 
 
@@ -130,11 +131,15 @@ class TestEpsilonGreedy:
             greedy_one(np.zeros(2), np.zeros(2, dtype=bool),
                        0.5, np.random.default_rng(0))
 
-    def test_any_row_all_masked_raises(self):
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0])
+    def test_any_row_all_masked_raises(self, epsilon):
         masks = np.array([[True, False], [False, False], [False, True]])
         rngs = [np.random.default_rng(i) for i in range(3)]
         with pytest.raises(NoLegalAction):
-            epsilon_greedy(np.zeros((3, 2)), masks, 0.0, rngs)
+            epsilon_greedy(np.zeros((3, 2)), masks, epsilon, rngs)
+        # the check comes before any row draws
+        assert [rng.random() for rng in rngs] == [
+            np.random.default_rng(i).random() for i in range(3)]
 
     def test_exploration_rate(self):
         q = np.array([1.0, 0.0])
@@ -210,6 +215,15 @@ class TestTraining:
         assert a.episode_returns == b.episode_returns
         for name, arr in a.policy.net.parameters().items():
             assert np.array_equal(arr, b.policy.net.parameters()[name])
+
+    def test_actor_reads_the_network_as_a_batch(self, monkeypatch):
+        # training reads Q through forward_batch, as QPolicy does
+        def single_state_forward(*args):
+            raise AssertionError("single-state forward called")
+
+        monkeypatch.setattr(DeepSetsNet, "forward", single_state_forward)
+        result = train(BanditEnv(), TrainConfig(episodes=20, warmup=16))
+        assert len(result.episode_returns) == 20
 
     def test_seed_changes_training(self):
         a = train(BanditEnv(), TrainConfig(episodes=50, warmup=32, seed=0))

@@ -12,7 +12,9 @@ from pdtwin.envs.reliability import (
     benchmark_policy_action, check_objective, estimate_pf_stats, pf_given_theta,
     select_fe_input,
 )
-from pdtwin.mdp import FunctionPolicy, RandomPolicy, StepAfterDone, run_episode
+from pdtwin.mdp import (
+    FunctionPolicy, RandomPolicy, StepAfterDone, evaluate_policy, run_episode,
+)
 
 CONFIG = ReliabilityConfig()
 
@@ -239,11 +241,16 @@ class TestEnvironment:
             if not self.env.done(nxt):
                 assert reward == cost
 
-    def test_measurement_tightens_defect_belief(self):
+    @pytest.mark.parametrize("action, tightened, kept", [
+        (MEASUREMENT, "defect_belief", "discrepancy_belief"),
+        (LAB, "discrepancy_belief", "defect_belief"),
+    ], ids=["measurement", "lab"])
+    def test_observation_tightens_only_its_belief(self, action, tightened, kept):
         state = fresh_state()
-        nxt, _ = self.env.step(state, MEASUREMENT, np.random.default_rng(0))
-        assert nxt.defect_belief.variance < state.defect_belief.variance
-        assert nxt.discrepancy_belief == state.discrepancy_belief
+        nxt, _ = self.env.step(state, action, np.random.default_rng(0))
+        assert getattr(nxt, tightened).variance < getattr(state, tightened).variance
+        for name in (kept, "surrogate", "fe_observations", "pf_scales"):
+            assert getattr(nxt, name) is getattr(state, name)
 
     def test_fe_appends_observation(self):
         state = fresh_state()
@@ -268,6 +275,18 @@ class TestEnvironment:
         assert np.array_equal(mask, np.ones(3, dtype=bool))
         assert not mask.flags.writeable
         assert self.env.action_mask(fresh_state(seed=1)) is mask
+
+    @pytest.mark.parametrize("discrepancy_mean, verdict", [
+        (40.0, CONFIRMED_BELOW), (-40.0, CONFIRMED_ABOVE)])
+    def test_prior_that_decides_ends_at_reset(self, discrepancy_mean, verdict):
+        env = ReliabilityEnv(dataclasses.replace(
+            CONFIG, prior_discrepancy_mean=discrepancy_mean))
+        state = env.reset(np.random.default_rng(0))
+        assert check_objective(*state.pf_stats, CONFIG.target) == verdict
+        assert env.done(state) and state.outcome == verdict
+        summary = evaluate_policy(env, RandomPolicy(), 5, 0)
+        assert summary.lengths == (0,) * 5 and summary.returns == (0.0,) * 5
+        assert summary.outcomes == (verdict,) * 5
 
     def test_step_after_done(self):
         state = dataclasses.replace(fresh_state(), outcome=FAILED)
