@@ -38,17 +38,9 @@ SIZES = {"component_train": 300, "reliability_train": 120,
          "component_eval": 1000, "reliability_eval": 200}
 
 
-def child_env(pythonpath: str) -> dict:
-    """This environment with ``PYTHONPATH`` set and ``PDTWIN_OUT`` dropped, so
-    that every ``--out`` of a run is where its outputs go."""
-    env = {name: value for name, value in os.environ.items() if name != "PDTWIN_OUT"}
-    env["PYTHONPATH"] = pythonpath
-    return env
-
-
 def run(src: Path, argv: list) -> None:
     """Run ``python3 argv`` with pdtwin imported from ``src``; exit on failure."""
-    env = child_env(os.pathsep.join(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT,
                           stdout=subprocess.DEVNULL)
@@ -57,7 +49,7 @@ def run(src: Path, argv: list) -> None:
 
 
 def imported_from(src: Path) -> Path:
-    env = child_env(str(src))
+    env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c", "import pdtwin.cli; print(pdtwin.cli.__file__)"],
         env=env, cwd=ROOT, capture_output=True, text=True, check=True)

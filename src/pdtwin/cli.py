@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import zipfile
 from pathlib import Path
@@ -26,8 +25,6 @@ from .nets import load_checkpoint, save_checkpoint
 from .oracle import (
     HorizonTooDeep, OraclePolicy, TabularState, backward_induction, table_to_csv,
 )
-
-OUT_DIR_ENV_VAR = "PDTWIN_OUT"
 
 
 class CheckpointMismatch(ValueError):
@@ -73,7 +70,8 @@ def cmd_train(args, run_config, out) -> dict:
     save_checkpoint(
         out / "checkpoint.npz", result.policy.net,
         meta={"env": args.env, "encoding": args.encoding,
-              "constrained": args.constrained, "seed": run_config.train.seed},
+              "constrained": run_config.component.constrained,
+              "seed": run_config.train.seed},
     )
     write_csv(
         out / "curve.csv", ["episode", "return", "epsilon", "loss_moving_average"],
@@ -82,7 +80,8 @@ def cmd_train(args, run_config, out) -> dict:
              zip(result.episode_returns, result.loss_moving_average))),
     )
     print(f"wrote {out / 'checkpoint.npz'} and {out / 'curve.csv'}")
-    return {"env": args.env, "encoding": args.encoding, "constrained": args.constrained}
+    return {"env": args.env, "encoding": args.encoding,
+            "constrained": run_config.component.constrained}
 
 
 def _reliability_episodes(path, summary, base_seed) -> tuple:
@@ -147,7 +146,7 @@ def cmd_oracle(args, run_config, out) -> dict:
         "n_states": len(table.values),
     })
     print(f"V* = {table.values[start]!r}; wrote {out / 'oracle_table.csv'}")
-    return {"constrained": args.constrained}
+    return {"constrained": run_config.component.constrained}
 
 
 def _compare_component(args, run_config, out, n) -> None:
@@ -235,7 +234,7 @@ _FLAGS = {
     "--env": dict(choices=("component", "reliability"), required=True),
     "--config": dict(default=None, help="JSON config file"),
     "--seed": dict(type=_int_at_least(0), default=0, help="base seed, >= 0"),
-    "--out": dict(default="out", help=f"output directory (or ${OUT_DIR_ENV_VAR})"),
+    "--out": dict(default="out", help="output directory"),
     "--constrained": dict(action="store_true"),
     "--encoding": dict(choices=("compressed", "set"), default="compressed",
                        help="component state encoding (reliability has one)"),
@@ -258,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn, config_flags=config_flags, **defaults)
         return p
 
+    # seed=None: only a given --seed overrides the config file's train.seed
     p_train = command("train", cmd_train, _FLAGS, "train a DQN policy",
-                      ("seed", "episodes"))
+                      ("seed", "episodes"), seed=None)
     p_train.add_argument("--episodes", type=int, default=None,
                          help="training episodes (default: the config's "
                               "train.episodes, 3000 component, 5000 reliability)")
@@ -304,8 +304,10 @@ def main(argv=None) -> int:
                          f"{_MAX_CHECKPOINTS[env]} --checkpoint")
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    out = Path(os.environ.get(OUT_DIR_ENV_VAR) or args.out)
-    made = not out.exists()  # an exit 1 removes it again if it stays empty
+    out = Path(args.out)
+    # the directories mkdir will make, deepest first; an exit 1 removes the
+    # ones that stay empty
+    made = [d for d in (out, *out.parents) if not d.exists()]
     try:
         run_config = config_mod.load_run_config(
             args.config, env, constrained=args.constrained,
@@ -318,8 +320,9 @@ def main(argv=None) -> int:
         return 0
     except (config_mod.ConfigError, CheckpointMismatch, HorizonTooDeep) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if made and out.is_dir() and not any(out.iterdir()):
-            out.rmdir()
+        for directory in made:
+            if directory.is_dir() and not any(directory.iterdir()):
+                directory.rmdir()
         return 1
     except Exception as exc:  # runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..beliefs import DiscreteEpistemicBelief, epistemic_condition
 from ..mdp import Environment, StateEncoding, StepAfterDone
 
 TERMINATE, TEST, REPLACE, USE = 0, 1, 2, 3
@@ -120,25 +119,6 @@ def belief_psi(info: TabularState, config: CoinConfig = CoinConfig()) -> float:
         return prior
     eb, eg = math.exp(log_bad - m), math.exp(log_good - m)
     return eb / (eb + eg)
-
-
-def component_prior(config: CoinConfig = CoinConfig()) -> DiscreteEpistemicBelief:
-    return DiscreteEpistemicBelief(
-        (config.theta_bad, config.theta_good),
-        (config.prior_bad, 1.0 - config.prior_bad),
-    )
-
-
-def belief_from_observations(
-    observations, config: CoinConfig = CoinConfig()
-) -> DiscreteEpistemicBelief:
-    """Sequential Bayes updates over the raw observation list (reference path)."""
-    belief = component_prior(config)
-    for y in observations:
-        belief = epistemic_condition(
-            belief, lambda theta, y=y: theta if y == 0 else 1.0 - theta
-        )
-    return belief
 
 
 def success_probability(psi: float, config: CoinConfig = CoinConfig()) -> float:

@@ -165,28 +165,17 @@ class DeepSetsNet:
                 raise DimensionMismatch(f"shape mismatch for {name}")
             own[name][...] = value
 
-    # single-state interface: batches of one --------------------------------
+    # forward and backward passes -------------------------------------------
 
-    def _single(self, elements, aux) -> SetBatch:
+    def forward(self, elements, aux: np.ndarray) -> np.ndarray:
+        """Q-values of one state, a batch of one; the elements may come in
+        any order."""
         aux = np.asarray(aux, dtype=float)
         if aux.shape != (self.aux_dim,):
             raise DimensionMismatch(f"aux must have shape ({self.aux_dim},)")
-        return SetBatch([canonical_set(elements, self.element_dim)], aux[None, :])
-
-    def forward(self, elements, aux: np.ndarray) -> np.ndarray:
-        """Q-values of one state; the elements may come in any order."""
-        q, _ = self.forward_batch(self._single(elements, aux))
+        batch = SetBatch([canonical_set(elements, self.element_dim)], aux[None, :])
+        q, _ = self.forward_batch(batch)
         return q[0]
-
-    def backward(self, elements, aux, upstream: np.ndarray) -> dict:
-        """Exact gradients of upstream . q, as name -> array."""
-        upstream = np.asarray(upstream, dtype=float)
-        if upstream.shape != (self.output_dim,):
-            raise DimensionMismatch(f"upstream must have shape ({self.output_dim},)")
-        _, cache = self.forward_batch(self._single(elements, aux))
-        return self.named(self.backward_batch(cache, upstream[None, :]))
-
-    # batched interface (training hot path) --------------------------------
 
     def forward_batch(self, batch: SetBatch):
         """Forward over a batch of states; returns (Q, cache).

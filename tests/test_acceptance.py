@@ -11,23 +11,23 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from pdtwin.beliefs import epistemic_condition
 from pdtwin.cli import main as cli_main
 from pdtwin.config import load_run_config
 from pdtwin.dqn import train
 from pdtwin.envs.component import (
-    USE, CoinConfig, ComponentEnv, belief_from_observations,
-    belief_psi, expected_use_reward,
+    USE, CoinConfig, ComponentEnv, belief_psi, expected_use_reward,
 )
 from pdtwin.envs.reliability import (
     FAILED, FE, ReliabilityConfig, ReliabilityEnv, UNDECIDED,
     benchmark_policy_action, check_objective, estimate_pf_stats, select_fe_input,
 )
 from pdtwin.mdp import FunctionPolicy, RandomPolicy, evaluate_policy, run_episode
-from pdtwin.nets import DeepSetsNet
+from pdtwin.nets import DeepSetsNet, SetBatch, canonical_set
 from pdtwin.oracle import (
     OraclePolicy, TabularState, backward_induction, policy_value,
 )
+
+from bayes_reference import belief_from_observations
 
 pytestmark = pytest.mark.acceptance
 
@@ -215,7 +215,9 @@ def test_criterion_7_deep_sets_invariance_and_gradients():
     elements = [rng.standard_normal(2) for _ in range(4)]
     aux = rng.standard_normal(1)
     upstream = rng.standard_normal(2)
-    grads = small.backward(elements, aux, upstream)
+    batch = SetBatch([canonical_set(elements, small.element_dim)], aux[None])
+    _, cache = small.forward_batch(batch)
+    grads = small.named(small.backward_batch(cache, upstream[None]))
     eps = 1e-6
     worst = 0.0
     for name, arr in small.parameters().items():

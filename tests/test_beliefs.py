@@ -3,14 +3,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from pdtwin.beliefs import (
-    AllZeroLikelihood,
-    DiscreteEpistemicBelief,
-    GaussianBelief,
-    epistemic_condition,
-    gaussian_condition,
-)
+from pdtwin.beliefs import GaussianBelief, gaussian_condition
 from pdtwin.envs.component import CoinConfig, success_probability
+
+from bayes_reference import (
+    AllZeroLikelihood, DiscreteEpistemicBelief, epistemic_condition,
+)
 
 TWO_COINS = DiscreteEpistemicBelief((0.5, 0.99), (0.5, 0.5))
 

@@ -1,13 +1,12 @@
 import csv
 import json
-import os
 
 import numpy as np
 import pytest
 
-from pdtwin.cli import OUT_DIR_ENV_VAR, build_parser, main
+from pdtwin.cli import build_parser, main
 from pdtwin.config import load_run_config
-from pdtwin.nets import DeepSetsNet, save_checkpoint
+from pdtwin.nets import DeepSetsNet, load_checkpoint, save_checkpoint
 
 
 def run(argv):
@@ -90,14 +89,21 @@ class TestEval:
         assert sum(summary["bin_counts"]) == 20
 
     def test_missing_checkpoint_is_usage_error(self, tmp_path, capsys):
-        checkpoint, out = tmp_path / "nope.npz", tmp_path / "o"
-        code = run([
-            "eval", "--env", "component", "--checkpoint", str(checkpoint),
-            "--out", str(out),
-        ])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: no checkpoint file at {checkpoint}\n"
-        assert not out.exists()
+        # the output directories the run made go again, parents too; a
+        # parent that was there before stays
+        checkpoint = tmp_path / "nope.npz"
+        (tmp_path / "existing").mkdir()
+        for out, made in ((tmp_path / "o", "o"), (tmp_path / "x" / "y" / "z", "x"),
+                          (tmp_path / "existing" / "y" / "z", "existing/y")):
+            code = run([
+                "eval", "--env", "component", "--checkpoint", str(checkpoint),
+                "--out", str(out),
+            ])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: no checkpoint file at {checkpoint}\n")
+            assert not (tmp_path / made).exists()
+        assert (tmp_path / "existing").is_dir()
 
     @pytest.mark.parametrize("files", [[], ["keep.txt"]])
     def test_exit_1_leaves_an_existing_out_dir_as_it_was(self, tmp_path, files):
@@ -355,7 +361,7 @@ class TestHistogramRange:
 class TestCommandFrame:
     """main loads the run config, makes the output directory and writes
     resolved_config.json for every command. Only train's --seed and
-    --episodes and eval's --seed reach the run config."""
+    --episodes, when given, and eval's --seed reach the run config."""
 
     def test_flags_reach_the_config_and_run_block(self, tmp_path):
         out = train_tiny(tmp_path, episodes=3, extra=("--seed", "7"))
@@ -378,6 +384,24 @@ class TestCommandFrame:
             assert resolved["train"]["seed"] == seed, command
             assert resolved["train"]["episodes"] == episodes, command
             assert resolved["run"] == run_block
+
+    def test_config_file_seed_and_constrained_reach_the_outputs(self, tmp_path):
+        # with no --seed or --constrained, the file's values are the ones
+        # the checkpoint meta and the run block record
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"seed": 5},
+                                   "env": {"component": {"constrained": True}}}))
+        for name, seed_flag, seed in (("file", (), 5), ("flag", ("--seed", "3"), 3)):
+            out = train_tiny(tmp_path, name, episodes=3,
+                             extra=("--config", str(cfg), *seed_flag))
+            resolved = json.loads((out / "resolved_config.json").read_text())
+            _, meta = load_checkpoint(out / "checkpoint.npz")
+            assert resolved["train"]["seed"] == meta["seed"] == seed
+            assert resolved["run"]["constrained"] is meta["constrained"] is True
+        out = tmp_path / "oracle"
+        assert run(["oracle", "--config", str(cfg), "--out", str(out)]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["run"] == {"command": "oracle", "constrained": True}
 
 
 class TestDeepHorizon:
@@ -505,13 +529,6 @@ class TestParsing:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
         capsys.readouterr()
-
-    def test_out_dir_env_var(self, tmp_path, monkeypatch):
-        target = tmp_path / "from_env"
-        monkeypatch.setenv(OUT_DIR_ENV_VAR, str(target))
-        assert run(["oracle", "--out", str(tmp_path / "ignored")]) == 0
-        assert (target / "oracle_table.csv").exists()
-        assert not (tmp_path / "ignored").exists()
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--env", "component", "--checkpoint", "c.npz"],

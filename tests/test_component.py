@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pdtwin.beliefs import AllZeroLikelihood, epistemic_condition
 from pdtwin.envs.component import (
     REPLACE, TERMINATE, TEST, USE,
     CoinConfig, CoinState, ComponentEnv, TabularState,
-    belief_from_observations, belief_psi, component_mask, expected_use_reward,
-    success_probability,
+    belief_psi, component_mask, expected_use_reward, success_probability,
 )
 from pdtwin.mdp import FunctionPolicy, StepAfterDone, evaluate_policy, run_episode
 from pdtwin.nets import canonical_set
 from pdtwin.oracle import backward_induction, q_backup
+
+from bayes_reference import AllZeroLikelihood, belief_from_observations
 
 
 class FixedRng:

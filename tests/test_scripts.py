@@ -45,17 +45,12 @@ def test_script_runs_every_command(tmp_path, monkeypatch, name, policies):
 
 
 @pytest.mark.slow
-def test_output_check_finds_a_tree_identical_to_itself(tmp_path, monkeypatch, capsys):
-    # PDTWIN_OUT would override every --out of the runs; the check drops it
-    decoy = tmp_path / "decoy"
-    decoy.mkdir()
-    monkeypatch.setenv("PDTWIN_OUT", str(decoy))
+def test_output_check_finds_a_tree_identical_to_itself(tmp_path, capsys):
     check = load_script("check_outputs_identical")
     src = SCRIPTS.parent / "src"
     code = check.main([
         "--parent", str(src), "--episodes", "2", "--out", str(tmp_path)])
     assert code == 0 and "identical" in capsys.readouterr().out
-    assert list(decoy.iterdir()) == []
     for side in ("parent", "this"):
         for path in ("component/compare/compare_table.csv",
                      "reliability/eval/episodes.csv",
