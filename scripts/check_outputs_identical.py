@@ -4,9 +4,11 @@ Runs both experiment scripts of this checkout, then a horizon-0 ``eval`` and
 ``compare`` at ``--seed 7`` (``eval``'s seed reaches the resolved config's
 ``train.seed``, ``compare``'s does not), ``oracle`` and ``oracle
 --constrained`` on the component game (the only oracle table whose start
-state has no action) and a reliability ``train`` at ``--seed 1`` that scores
-a validation snapshot every 40 episodes, once with ``--parent``'s pdtwin and
-once with this checkout's, and compares the two output trees file by file.
+state has no action), a reliability ``train`` at ``--seed 1`` that scores
+a validation snapshot every 40 episodes and a set-encoded component ``train``
+at ``--seed 2`` with a 600-slot replay ring, once with ``--parent``'s pdtwin
+and once with this checkout's, and compares the two output trees file by
+file.
 Every output is byte-reproducible from its command line, so any difference
 is a change in behaviour. Prints the files that differ and exits 1 if any do.
 
@@ -18,7 +20,10 @@ The experiment script's reliability run scores one validation snapshot, at
 its last episode. The extra run scores three and keeps the best, which at
 seed 1 is the second (-135.47, -50.02 and -70.08 after episodes 40, 80 and
 120), so a change that returned the final network would alter its
-checkpoint. ``--episodes N`` sets all four sizes to N for a smoke run.
+checkpoint. The ring run trains for the component training size; at 300
+episodes it pushes 2362 transitions, so its ring wraps about four times,
+where the default 50,000-slot ring of every other run never fills.
+``--episodes N`` sets all four sizes to N for a smoke run.
 """
 
 import argparse
@@ -34,6 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 HORIZON_ZERO = {"env": {"component": {"horizon": 0}}}
 SNAPSHOTS = {"train": {"snapshot_every": 40}}
+SMALL_RING = {"train": {"replay_capacity": 600}}
 SIZES = {"component_train": 300, "reliability_train": 120,
          "component_eval": 1000, "reliability_eval": 200}
 
@@ -77,11 +83,17 @@ def write_outputs(src: Path, out: Path, sizes: dict) -> None:
     for name, extra in (("oracle", []), ("oracle_constrained", ["--constrained"])):
         run(src, ["-m", "pdtwin.cli", "oracle", *extra, "--config", str(config),
                   "--out", str(out / f"horizon0_{name}")])
-    snapshots = out / "snapshots.json"
-    snapshots.write_text(json.dumps(SNAPSHOTS) + "\n")
-    run(src, ["-m", "pdtwin.cli", "train", "--env", "reliability", "--seed", "1",
-              "--config", str(snapshots), "--episodes", str(sizes["reliability_train"]),
-              "--out", str(out / "reliability_snapshots")])
+    for name, settings, argv in (
+            ("reliability_snapshots", SNAPSHOTS,
+             ["--env", "reliability", "--seed", "1",
+              "--episodes", str(sizes["reliability_train"])]),
+            ("component_small_ring", SMALL_RING,
+             ["--env", "component", "--encoding", "set", "--seed", "2",
+              "--episodes", str(sizes["component_train"])])):
+        config = out / f"{name}.json"
+        config.write_text(json.dumps(settings) + "\n")
+        run(src, ["-m", "pdtwin.cli", "train", *argv, "--config", str(config),
+                  "--out", str(out / name)])
 
 
 def differences(a: Path, b: Path, where: Path = Path()) -> list:

@@ -48,8 +48,6 @@ def _load_policy(path, env, args) -> QPolicy:
                  action_count=net.output_dim)
     expected = {"env": args.env, "encoding": args.encoding, "element_dim": env.element_dim,
                 "aux_dim": env.aux_dim, "action_count": env.action_count}
-    if args.env == "reliability":  # one encoding: not checked
-        del expected["encoding"]
     for key, value in expected.items():
         if found.get(key) != value:
             raise CheckpointMismatch(
@@ -150,7 +148,7 @@ def cmd_oracle(args, run_config, out) -> dict:
 
 
 def _compare_component(args, run_config, out, n) -> None:
-    env = ComponentEnv(run_config.component, encoding=args.encoding)
+    env = _make_env(args, run_config)
     constrained_config = dataclasses.replace(run_config.component, constrained=True)
     constrained_env = ComponentEnv(constrained_config, encoding=args.encoding)
 
@@ -183,7 +181,7 @@ def _compare_component(args, run_config, out, n) -> None:
 
 
 def _compare_reliability(args, run_config, out, n) -> None:
-    env = ReliabilityEnv(run_config.reliability)
+    env = _make_env(args, run_config)
     policies = [
         ("random", RandomPolicy()),
         ("benchmark", FunctionPolicy(lambda s: benchmark_policy_action(s.actions_taken))),

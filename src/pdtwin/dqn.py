@@ -87,43 +87,38 @@ class TrainConfig:
 class ReplayBuffer:
     """Fixed-capacity ring of transitions with uniform batch sampling.
 
-    Row i of the arrays and entry i of the two set lists hold transition i;
-    the sets are references to the environment's read-only arrays.
+    Row i of every column holds transition i; the two object columns hold
+    references to the environment's read-only set arrays.
     """
 
     def __init__(self, capacity: int, aux_dim: int, action_count: int):
         self.capacity = capacity
+        self.sets = np.empty(capacity, dtype=object)
+        self.next_sets = np.empty(capacity, dtype=object)
         self.aux = np.empty((capacity, aux_dim))
         self.next_aux = np.empty((capacity, aux_dim))
         self.action = np.empty(capacity, dtype=np.int64)
         self.reward = np.empty(capacity)  # already divided by reward_scale
         self.done = np.empty(capacity, dtype=bool)
         self.next_mask = np.empty((capacity, action_count), dtype=bool)
-        self.sets = []
-        self.next_sets = []
-        self._cursor = 0
+        self._cursor = self._size = 0
 
     def push(self, enc: StateEncoding, action: int, reward: float,
              next_enc: StateEncoding, done: bool, next_mask: np.ndarray) -> None:
         i = self._cursor
-        if len(self.sets) < self.capacity:
-            self.sets.append(enc.elements)
-            self.next_sets.append(next_enc.elements)
-        else:
-            self.sets[i] = enc.elements
-            self.next_sets[i] = next_enc.elements
+        self.sets[i], self.next_sets[i] = enc.elements, next_enc.elements
         self.aux[i], self.next_aux[i] = enc.aux, next_enc.aux
         self.action[i], self.reward[i], self.done[i] = action, reward, done
         self.next_mask[i] = next_mask
         self._cursor = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
         """Indices of a uniform batch, drawn without replacement."""
-        n = len(self.sets)
-        return rng.choice(n, size=min(batch_size, n), replace=False)
+        return rng.choice(self._size, size=min(batch_size, self._size), replace=False)
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return self._size
 
 
 def epsilon_greedy(
@@ -193,8 +188,7 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
     train_rng = np.random.default_rng([config.seed, 0x7E57])
 
     result = TrainResult(policy=QPolicy(net, env))
-    loss_ma = 0.0
-    have_loss = False
+    loss_ma = float("nan")  # until the first gradient step
     global_step = 0
     best_score = -np.inf
     best_params = None  # flat parameter vector of the best snapshot
@@ -232,13 +226,12 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
                     raise DivergenceDetected(
                         f"non-finite loss at episode {episode}, step {global_step}"
                     )
-                loss_ma = loss if not have_loss else 0.99 * loss_ma + 0.01 * loss
-                have_loss = True
+                loss_ma = loss if np.isnan(loss_ma) else 0.99 * loss_ma + 0.01 * loss
             if global_step % config.target_sync == 0:
                 target.flat[...] = net.flat
 
         result.episode_returns.append(ep_return)
-        result.loss_moving_average.append(loss_ma if have_loss else float("nan"))
+        result.loss_moving_average.append(loss_ma)
 
         if config.snapshot_every is not None and (
             (episode + 1) % config.snapshot_every == 0 or episode + 1 == config.episodes
@@ -259,8 +252,7 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
 
 def _update(net, target, optimizer, buffer, config, rng) -> float:
     idx = buffer.sample(config.batch_size, rng)
-    rows = idx.tolist()
-    next_batch = SetBatch([buffer.next_sets[i] for i in rows], buffer.next_aux[idx])
+    next_batch = SetBatch(buffer.next_sets[idx], buffer.next_aux[idx])
     target_q, _ = target.forward_batch(next_batch)
     next_mask = buffer.next_mask[idx]
     if config.double_dqn:
@@ -272,7 +264,7 @@ def _update(net, target, optimizer, buffer, config, rng) -> float:
         buffer.reward[idx], buffer.done[idx], target_q, next_mask, config.discount
     )
 
-    batch = SetBatch([buffer.sets[i] for i in rows], buffer.aux[idx])
+    batch = SetBatch(buffer.sets[idx], buffer.aux[idx])
     q, cache = net.forward_batch(batch)
     actions = buffer.action[idx]
     taken = q[np.arange(len(idx)), actions]

@@ -16,6 +16,7 @@ predictive variance.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +78,12 @@ class ReliabilityConfig:
                 raise ValueError(f"{name} must be >= 0")
         if not (0.0 < self.target < 1.0):
             raise ValueError("target must lie in (0, 1)")
+        # the p_f scales add sigma_a^2; a prior pool variance reaches input_dim * var
+        for text, value in (("sigma_a * sigma_a", self.sigma_a * self.sigma_a),
+                            ("input_dim * prior_beta_var",
+                             self.input_dim * self.prior_beta_var)):
+            if not value <= sys.float_info.max:  # also an int past the float range
+                raise ValueError(f"{text} must be finite")
 
     def candidate_pool(self) -> np.ndarray:
         """Fixed design-candidate grid in [-1, 1]^input_dim."""
@@ -91,11 +98,9 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SurrogatePosterior:
-    """Gaussian posterior over the response-surface weights.
-
-    Build it with ``from_arrays``, which stores read-only float copies and
-    makes the covariance exactly symmetric.
-    """
+    """Gaussian posterior over the response-surface weights, held in
+    read-only arrays; ``prior`` and ``observe`` build exactly symmetric
+    covariances."""
 
     weight_mean: np.ndarray  # (input_dim,)
     weight_covariance: np.ndarray  # (input_dim, input_dim)
@@ -104,19 +109,10 @@ class SurrogatePosterior:
         return self.weight_covariance
 
     @staticmethod
-    def from_arrays(mean: np.ndarray, cov: np.ndarray) -> "SurrogatePosterior":
-        cov = np.asarray(cov, dtype=float)
-        return SurrogatePosterior(
-            _read_only(np.array(mean, dtype=float)), _read_only(0.5 * (cov + cov.T))
-        )
-
-    @staticmethod
     def prior(config: ReliabilityConfig) -> "SurrogatePosterior":
         k = config.input_dim
-        return SurrogatePosterior.from_arrays(
-            np.full(k, config.prior_beta_mean),
-            np.eye(k) * config.prior_beta_var,
-        )
+        return SurrogatePosterior(_read_only(np.full(k, float(config.prior_beta_mean))),
+                                  _read_only(np.eye(k) * config.prior_beta_var))
 
     def predictive_variance(self, features: np.ndarray) -> np.ndarray:
         """phi^T Sigma phi for each row phi of a (n, input_dim) stack."""
@@ -133,7 +129,7 @@ class SurrogatePosterior:
         denom = float(phi @ s_phi) + noise_var
         new_mean = m + s_phi * (y - float(phi @ m)) / denom
         new_cov = s - np.outer(s_phi, s_phi) / denom
-        return SurrogatePosterior.from_arrays(new_mean, new_cov)
+        return SurrogatePosterior(_read_only(new_mean), _read_only(new_cov))
 
 
 @dataclass(frozen=True, eq=False)

@@ -89,18 +89,16 @@ def canonical_set(elements, element_dim: int) -> np.ndarray:
         return np.empty((0, element_dim))
     if rows.ndim != 2 or rows.shape[1] != element_dim:
         raise DimensionMismatch(f"set elements must have shape ({element_dim},)")
-    if len(rows) > 1:
-        rows = rows[np.lexsort(rows.T[::-1])]
-    return rows
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 @dataclass
 class SetBatch:
-    """The states ``forward_batch`` takes: one canonical (k, element_dim) set
-    per state and their aux vectors as one (B, aux_dim) array. Iterates as
-    (elements, aux) pairs."""
+    """The states ``forward_batch`` takes: a sequence (a list or an object
+    array) of one canonical (k, element_dim) set per state, and their aux
+    vectors as one (B, aux_dim) array. Iterates as (elements, aux) pairs."""
 
-    sets: list
+    sets: list | np.ndarray
     aux: np.ndarray
 
     def __iter__(self):

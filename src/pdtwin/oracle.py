@@ -75,9 +75,10 @@ def _solve(config: CoinConfig, actions_at: Callable[[TabularState], list]) -> Va
             return values[state]
         best = 0.0  # the terminal layer
         if state.days_left > 0:
-            for i, action in enumerate(actions_at(state)):
+            best = float("-inf")  # every backup is finite, so the first replaces it
+            for action in actions_at(state):
                 q = q_backup(state, action, value, config)
-                if i == 0 or q > best:  # strict: the lowest index keeps a tie
+                if q > best:  # strict: the lowest index keeps a tie
                     best, actions[state] = q, action
         values[state] = best
         return best

@@ -142,6 +142,20 @@ class TestEval:
                 assert code == 1
                 assert f"trained with {key}" in capsys.readouterr().err
 
+    def test_set_encoded_reliability_checkpoint_is_usage_error(self, tmp_path, capsys):
+        # the network fits the reliability game; only the recorded encoding is wrong
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(path, DeepSetsNet(6, 8, 3, seed=0),
+                        meta={"env": "reliability", "encoding": "set"})
+        out = tmp_path / "o"
+        code = run(["eval", "--env", "reliability", "--episodes", "2",
+                    "--checkpoint", str(path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {path} was trained with encoding 'set', "
+            "not 'compressed'\n")
+        assert not out.exists()
+
 
 def truncated_checkpoint(path):
     save_checkpoint(path, DeepSetsNet(1, 2, 4, seed=0),
@@ -524,6 +538,26 @@ class TestParsing:
                     "--config", str(cfg), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings, product", [
+        ({"sigma_a": 1e155}, "sigma_a * sigma_a"),
+        ({"prior_beta_var": 1e308}, "input_dim * prior_beta_var"),
+    ], ids=["sigma_a", "prior_beta_var"])
+    @pytest.mark.parametrize("argv", [
+        ["train", "--episodes", "1"], ["compare", "--episodes", "1"],
+    ], ids=["train", "compare"])
+    def test_reliability_product_past_the_float_range_is_usage_error(
+            self, tmp_path, capsys, settings, product, argv):
+        # each value is finite, but the product the game forms overflows
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"env": {"reliability": settings}}))
+        out = tmp_path / "o"
+        code = run([*argv, "--env", "reliability", "--config", str(cfg),
+                    "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid ReliabilityConfig: {product} must be finite\n")
         assert not out.exists()
 
     def test_unknown_subcommand(self, capsys):

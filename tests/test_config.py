@@ -129,6 +129,7 @@ class TestValidation:
         ("component", {"horizon": 10**400}),  # no float holds it
         ("train", {"replay_capacity": 10}),  # below warmup: never learns
         ("train", {"replay_capacity": 32, "warmup": 0}),  # below batch_size
+        ("reliability", {"sigma_a": 10**155}),  # an int whose square no float holds
     ])
     def test_rejects_bad_values(self, tmp_path, section, values):
         raw = {"train": values} if section == "train" else {"env": {section: values}}

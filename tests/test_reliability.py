@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from pdtwin.beliefs import GaussianBelief
 from pdtwin.envs.reliability import (
@@ -146,7 +146,7 @@ class TestEstimatePfStats:
         # estimate_pf_stats reads only the three beliefs
         point = dataclasses.replace(
             fresh_state(),
-            surrogate=SurrogatePosterior.from_arrays(
+            surrogate=SurrogatePosterior(
                 np.full(CONFIG.input_dim, 0.5), np.zeros((CONFIG.input_dim,) * 2)
             ),
             defect_belief=GaussianBelief(0.5, 0.0),
@@ -165,7 +165,7 @@ class TestEstimatePfStats:
         k = cfg.input_dim
         state = dataclasses.replace(
             fresh_state(),
-            surrogate=SurrogatePosterior.from_arrays(np.zeros(k), np.zeros((k, k))),
+            surrogate=SurrogatePosterior(np.zeros(k), np.zeros((k, k))),
             defect_belief=GaussianBelief(0.0, 0.0),
             discrepancy_belief=GaussianBelief(0.0, 1.0),
         )
@@ -428,6 +428,67 @@ class TestCachedEstimator:
                 assert not state.pf_scales.flags.writeable
                 assert state.pf_stats == estimate_pf_stats(state, cfg, state.crn_seed)
         assert taken == {MEASUREMENT, FE, LAB}
+
+
+def exact_pf_moments(state, config):
+    """E[p_f] and Var(p_f) in closed form for a known surrogate (prior_beta_var
+    0). Every draw then has the scale s = sqrt(input_dim * beta_mean^2 +
+    sigma_a^2), and the margin M = mu_m + gamma d is N(m, v). With Z1, Z2
+    standard normals independent of M, p_f = P(s Z1 + M < 0 | M), so E[p_f] =
+    Phi(h) with h = -m / sqrt(s^2 + v), and E[p_f^2] is the bivariate normal
+    probability P(s Z1 + M < 0, s Z2 + M < 0) = Phi(h) - 2 T(h, a) with
+    correlation rho = v / (s^2 + v) and a = sqrt((1 - rho) / (1 + rho))."""
+    defect, discrepancy = state.defect_belief, state.discrepancy_belief
+    s2 = config.input_dim * config.prior_beta_mean**2 + config.sigma_a**2
+    m = discrepancy.mean + config.gamma * defect.mean
+    v = discrepancy.variance + config.gamma**2 * defect.variance
+    h = -m / np.sqrt(s2 + v)
+    rho = v / (s2 + v)
+    mean = ndtr(h)
+    second = mean - 2.0 * owens_t(h, np.sqrt((1.0 - rho) / (1.0 + rho)))
+    return mean, second - mean**2
+
+
+class TestPfClosedForm:
+    """Over many episodes the stored (E, Std) estimate, from the episode's n_mc
+    draws, averages to the exact moments: E as it is and Std^2, the unbiased
+    (ddof=1) sample variance, as Var. Std itself is biased low by the square
+    root (Jensen), so it is not compared."""
+
+    CONFIG = ReliabilityConfig(prior_beta_var=0.0)
+
+    def test_prior_moments_match_quadrature(self):
+        # Gauss-Hermite over the margin M ~ N(m, v), independent of Owen's T
+        cfg = self.CONFIG
+        state = ReliabilityEnv(cfg).reset(np.random.default_rng(0))
+        mean, var = exact_pf_moments(state, cfg)
+        m = cfg.prior_discrepancy_mean + cfg.gamma * cfg.prior_defect_mean
+        v = cfg.prior_discrepancy_var + cfg.gamma**2 * cfg.prior_defect_var
+        s = np.sqrt(cfg.input_dim * cfg.prior_beta_mean**2 + cfg.sigma_a**2)
+        nodes, weights = np.polynomial.hermite.hermgauss(120)
+        pf = ndtr(-(m + np.sqrt(2.0 * v) * nodes) / s)
+        weights = weights / np.sqrt(np.pi)
+        assert mean == pytest.approx(weights @ pf, rel=1e-9)
+        assert var == pytest.approx(weights @ pf**2 - (weights @ pf) ** 2, rel=1e-9)
+        assert (round(mean, 7), round(var, 8)) == (0.0037262, 0.00019420)
+
+    @pytest.mark.parametrize("actions", [(), (MEASUREMENT, LAB)],
+                             ids=["reset", "measurement-lab"])
+    def test_stored_stats_average_to_the_exact_moments(self, actions):
+        env = ReliabilityEnv(self.CONFIG)
+        mean_gaps, var_gaps = [], []
+        for seed in range(2000):
+            rng = np.random.default_rng(seed)
+            state = env.reset(rng)
+            for action in actions:
+                state, _ = env.step(state, action, rng)
+            mean, var = exact_pf_moments(state, self.CONFIG)
+            stored_mean, stored_sd = state.pf_stats
+            mean_gaps.append(stored_mean - mean)
+            var_gaps.append(stored_sd**2 - var)
+        for gaps in (np.array(mean_gaps), np.array(var_gaps)):
+            se = gaps.std(ddof=1) / np.sqrt(len(gaps))
+            assert abs(gaps.mean()) <= 4.0 * se
 
 
 class TestConfigValidation:

@@ -57,7 +57,8 @@ def test_output_check_finds_a_tree_identical_to_itself(tmp_path, capsys):
                      "horizon0_eval/episodes.csv", "horizon0_compare/compare_table.csv",
                      "horizon0_oracle/oracle_table.csv",
                      "horizon0_oracle_constrained/oracle_table.csv",
-                     "reliability_snapshots/checkpoint.npz"):
+                     "reliability_snapshots/checkpoint.npz",
+                     "component_small_ring/checkpoint.npz"):
             assert (tmp_path / side / path).is_file()
     # the snapshot run trains at seed 1; eval's --seed 7 reaches the config,
     # compare's does not
