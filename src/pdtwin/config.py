@@ -77,12 +77,21 @@ def _build(cls, *layers: dict):
 
 
 def _check_type(cls, field, value) -> None:
-    """Reject a value of a type its annotation does not name, or a NaN or infinity."""
-    allowed = sum((_TYPES[name] for name in field.type.split(" | ")), ())
+    """Reject a value of a type its annotation does not name, or a NaN or
+    infinity; an int standing for a float must lie in the float range (it is
+    kept as given)."""
+    names = field.type.split(" | ")
+    allowed = sum((_TYPES[name] for name in names), ())
     if type(value) not in allowed:
         raise ConfigError(
             f"{cls.__name__}.{field.name} must be {field.type}, got {value!r}"
         )
+    if type(value) is int and "float" in names:
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"{cls.__name__}.{field.name} must be finite, "
+                              "got an integer past the float range") from None
     if type(value) is float and not math.isfinite(value):
         raise ConfigError(f"{cls.__name__}.{field.name} must be finite, got {value!r}")
 
@@ -110,8 +119,8 @@ def load_run_config(
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # also an integer past int's digit limit
+            raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
     for key in raw:

@@ -16,11 +16,11 @@ predictive variance.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..beliefs import GaussianBelief, gaussian_condition
 from ..mdp import Environment, StateEncoding, StepAfterDone
@@ -84,6 +84,23 @@ class ReliabilityConfig:
                              self.input_dim * self.prior_beta_var)):
             if not value <= sys.float_info.max:  # also an int past the float range
                 raise ValueError(f"{text} must be finite")
+        # gaussian_condition weighs the belief's mean and each observation by a
+        # precision that reaches 1/prior_var + max_actions/noise_var; the truth
+        # lies within 10 prior sd of the prior mean and an observation within
+        # 10 noise sd of the truth, so that reach times the precision must be
+        # finite
+        for noise, belief in (("measurement_noise_var", "defect"),
+                              ("lab_noise_var", "discrepancy")):
+            mean = getattr(self, f"prior_{belief}_mean")
+            var = getattr(self, f"prior_{belief}_var")
+            noise_var = getattr(self, noise)
+            if var == 0.0:  # a point-mass belief is never updated
+                continue
+            precision = 1.0 / var + self.max_actions / noise_var
+            reach = max(abs(mean) + 10.0 * (math.sqrt(var) + math.sqrt(noise_var)), 1.0)
+            if not precision * reach <= sys.float_info.max:
+                raise ValueError(f"{noise} too small for the {belief} prior: "
+                                 "max_actions updates would leave the float range")
 
     def candidate_pool(self) -> np.ndarray:
         """Fixed design-candidate grid in [-1, 1]^input_dim."""
@@ -197,6 +214,8 @@ def _pf(margins, scales):
     """Phi(-margin / scale) elementwise; where a scale is 0 (no spread in beta
     and sigma_a 0) its limit as the scale falls to 0: 0 for a margin above 0,
     1 below 0 and 1/2 at 0."""
+    from scipy.special import ndtr  # here, not at the top: a component run never needs it
+
     if scales.all():  # the common case, one check per call
         return ndtr(-margins / scales)
     zero = scales == 0.0

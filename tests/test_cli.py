@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,6 +446,32 @@ class TestDeepHorizon:
         assert resolved["env"]["component"]["horizon"] == 600
 
 
+def test_component_commands_start_without_scipy(tmp_path):
+    # scipy.special is loaded by the reliability p_f kernel on first use; the
+    # test modules import it into this process, so a fresh interpreter checks
+    child = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from pdtwin.cli import main
+        out = sys.argv[1]
+        for argv in (["oracle"], ["train", "--env", "component", "--episodes", "2"],
+                     ["eval", "--env", "component", "--episodes", "2",
+                      "--checkpoint", out + "/train/checkpoint.npz"],
+                     ["compare", "--env", "component", "--episodes", "2"]):
+            assert main([*argv, "--out", f"{out}/{argv[0]}"]) == 0, argv
+        print("scipy.special" in sys.modules)
+        from pdtwin.envs.reliability import ReliabilityEnv
+        ReliabilityEnv().reset(np.random.default_rng(0))
+        print("scipy.special" in sys.modules)
+    """)
+    result = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == ["False", "True"]
+
+
 class TestReproducibility:
     def test_train_rerun_byte_identical_csv(self, tmp_path):
         a = train_tiny(tmp_path, name="a", episodes=25)
@@ -558,6 +589,23 @@ class TestParsing:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: invalid ReliabilityConfig: {product} must be finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings, argv", [
+        ({"env": {"reliability": {"prior_defect_var": 10**400}}},
+         ["train", "--env", "reliability", "--episodes", "3"]),
+        ({"env": {"reliability": {"cost_lab": -10**400}}},
+         ["train", "--env", "reliability", "--episodes", "3"]),
+        ({"train": {"learning_rate": 10**400}},
+         ["train", "--env", "component", "--episodes", "200"]),
+    ], ids=["prior_defect_var", "cost_lab", "learning_rate"])
+    def test_int_past_the_float_range_is_usage_error(self, tmp_path, capsys, settings, argv):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(settings))
+        out = tmp_path / "o"
+        assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(
+            "must be finite, got an integer past the float range\n")
         assert not out.exists()
 
     def test_unknown_subcommand(self, capsys):

@@ -130,6 +130,13 @@ class TestValidation:
         ("train", {"replay_capacity": 10}),  # below warmup: never learns
         ("train", {"replay_capacity": 32, "warmup": 0}),  # below batch_size
         ("reliability", {"sigma_a": 10**155}),  # an int whose square no float holds
+        # an int past the float range for a float, where nothing else rejects it
+        ("component", {"horizon": 0, "use_stake": 10**400}),  # horizon 0 bins no span
+        ("reliability", {"prior_defect_var": 10**400}),
+        ("reliability", {"cost_lab": -10**400}),
+        ("train", {"learning_rate": 10**400}),
+        # 40 measurements at this noise overflow the defect belief's precision
+        ("reliability", {"measurement_noise_var": 1e-308}),
     ])
     def test_rejects_bad_values(self, tmp_path, section, values):
         raw = {"train": values} if section == "train" else {"env": {section: values}}
@@ -150,8 +157,17 @@ class TestValidation:
             {"train": {"learning_rate": 1, "epsilon_decay_episodes": None,
                        "snapshot_every": 7}}))
         cfg = load_run_config(str(path), "reliability")
-        assert cfg.train.learning_rate == 1 and cfg.train.snapshot_every == 7
+        # the int is kept as given, so the resolved config echoes it as 1
+        assert type(cfg.train.learning_rate) is int and cfg.train.learning_rate == 1
+        assert cfg.train.snapshot_every == 7
         assert cfg.train.epsilon_decay_episodes is None
+
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        # json.loads raises a plain ValueError for it, not a JSONDecodeError
+        path = tmp_path / "run.json"
+        path.write_text('{"train": {"learning_rate": 1' + "0" * 5000 + "}}")
+        with pytest.raises(ConfigError, match="cannot parse config file"):
+            load_run_config(str(path), "component")
 
     def test_every_field_annotation_is_checkable(self):
         from pdtwin.config import _TYPES, CoinConfig, ReliabilityConfig, TrainConfig

@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import math
+import struct
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from scipy.special import ndtr, owens_t
 
 from pdtwin.beliefs import GaussianBelief
+from pdtwin.cli import main
 from pdtwin.envs.reliability import (
     CONFIRMED_ABOVE, CONFIRMED_BELOW, FAILED, FE, LAB, MEASUREMENT, UNDECIDED,
     CrnNormals, ReliabilityConfig, ReliabilityEnv, SurrogatePosterior,
@@ -498,3 +502,74 @@ class TestConfigValidation:
         state, _ = env.step(state, FE, np.random.default_rng(1))
         aux = env.encode(state).aux
         assert np.isfinite(aux).all() and aux[5] == 0.0
+
+
+NOISE_VARS = ("measurement_noise_var", "lab_noise_var")
+
+
+def smallest_accepted(name: str) -> float:
+    """The smallest ``name`` that ReliabilityConfig accepts, by bisection over
+    the bit patterns of the floats in [0, 1], which sort as the floats do."""
+    def value(bits):
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    def accepts(bits):
+        try:
+            ReliabilityConfig(**{name: value(bits)})
+        except ValueError:
+            return False
+        return True
+
+    low, high = 0, struct.unpack("<q", struct.pack("<d", 1.0))[0]  # rejected, accepted
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if accepts(mid) else (mid, high)
+    return value(high)
+
+
+class TestNoiseVarianceBound:
+    """A noise variance so small that max_actions conjugate updates of its
+    belief would leave the float range is a config error."""
+
+    SMALLEST = {name: smallest_accepted(name) for name in NOISE_VARS}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("action, belief", [
+        (MEASUREMENT, "defect_belief"), (LAB, "discrepancy_belief"),
+    ])
+    def test_smallest_accepted_keeps_every_update_finite(self, action, belief):
+        env = ReliabilityEnv(ReliabilityConfig(**self.SMALLEST))
+        lengths = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            state = env.reset(rng)
+            while not state.done:
+                state, _ = env.step(state, action, rng)
+                held = getattr(state, belief)
+                assert math.isfinite(held.mean) and held.variance > 0.0
+                assert np.isfinite(env.encode(state).aux).all()
+            lengths.append(state.actions_taken)
+        assert max(lengths) == env.config.max_actions  # the whole budget was spent
+
+    @pytest.mark.filterwarnings("error")
+    def test_smallest_accepted_trains_and_compares(self, tmp_path):
+        config = tmp_path / "noise.json"
+        config.write_text(json.dumps({"env": {"reliability": self.SMALLEST}}))
+        common = ["--env", "reliability", "--config", str(config)]
+        assert main(["train", *common, "--episodes", "3",
+                     "--out", str(tmp_path / "train")]) == 0
+        assert main(["compare", *common, "--episodes", "5", "--checkpoint",
+                     str(tmp_path / "train" / "checkpoint.npz"),
+                     "--out", str(tmp_path / "cmp")]) == 0
+
+    @pytest.mark.parametrize("name", NOISE_VARS)
+    def test_just_below_the_bound_is_usage_error(self, tmp_path, capsys, name):
+        config = tmp_path / "noise.json"
+        below = math.nextafter(self.SMALLEST[name], 0.0)
+        config.write_text(json.dumps({"env": {"reliability": {name: below}}}))
+        out = tmp_path / "o"
+        assert main(["train", "--env", "reliability", "--episodes", "3",
+                     "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid ReliabilityConfig: {name} too small")
+        assert not out.exists()
