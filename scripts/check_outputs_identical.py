@@ -11,6 +11,8 @@ and once with this checkout's, and compares the two output trees file by
 file.
 Every output is byte-reproducible from its command line, so any difference
 is a change in behaviour. Prints the files that differ and exits 1 if any do.
+Without ``--out`` both trees go to a new temporary directory, which is
+removed when they are identical and kept, and named, when they differ.
 
     python3 scripts/check_outputs_identical.py --parent ../parent/src
 
@@ -30,6 +32,7 @@ import argparse
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -133,6 +136,9 @@ def main(argv=None) -> int:
         print(f"{len(found)} files differ; both trees are under {out}")
         return 1
     print(f"identical: every output under {out / 'parent'} and {out / 'this'}")
+    if args.out is None:
+        shutil.rmtree(out)
+        print(f"removed {out}")
     return 0
 
 

@@ -311,7 +311,10 @@ def main(argv=None) -> int:
             args.config, env, constrained=args.constrained,
             **{flag: getattr(args, flag) for flag in args.config_flags},
         )
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # --out names a file, or a path through one
+            raise config_mod.ConfigError(f"cannot make output directory: {exc}") from exc
         run = args.fn(args, run_config, out)
         config_mod.write_resolved(out / "resolved_config.json", run_config,
                                   extra={"command": args.command, **run})

@@ -114,8 +114,8 @@ def load_run_config(
     raw: dict = {}
     if path is not None:
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            text = Path(path).read_text(encoding="utf-8")  # JSON is UTF-8
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
             raw = json.loads(text)

@@ -198,9 +198,8 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
         env_rng = np.random.default_rng([config.seed, 1, episode])
         state = env.reset(env_rng)
         ep_return = 0.0
-        done = env.done(state)
         enc, mask = env.encode(state), env.action_mask(state)
-        while not done:
+        while not state.done:
             q, _ = net.forward_batch(SetBatch([enc.elements], enc.aux[None]))
             if not np.isfinite(q).all():
                 raise DivergenceDetected(
@@ -208,11 +207,10 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
                 )
             action = int(epsilon_greedy(q, mask[None], epsilon, [train_rng])[0])
             state, reward = env.step(state, action, env_rng)
-            done = env.done(state)
             ep_return += reward
             next_enc, next_mask = env.encode(state), env.action_mask(state)
             buffer.push(
-                enc, action, reward / config.reward_scale, next_enc, done, next_mask,
+                enc, action, reward / config.reward_scale, next_enc, state.done, next_mask,
             )
             enc, mask = next_enc, next_mask
             global_step += 1

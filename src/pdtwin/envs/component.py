@@ -86,6 +86,7 @@ class CoinState:
     info: TabularState
     hidden_theta: float  # simulator-only; never exposed through encode()
     done: bool = False
+    outcome = None  # a class attribute, not a field: the game names no outcome
 
 
 def _log_weight(log_prior: float, theta: float, info: TabularState) -> float:

@@ -45,10 +45,12 @@ class StateEncoding:
 class Environment(abc.ABC):
     """Generative belief-state MDP with a finite action set and horizon.
 
-    A state has a boolean ``done``. ``reset`` returns a state that is already
-    done when the episode has no step to take (a horizon of 0): that episode
-    has length 0 and return 0.0, and nothing steps it or asks a policy for an
-    action. ``encode`` and ``action_mask`` accept every state, a done one too.
+    A state has a bool ``done`` and an ``outcome``: how an ended episode
+    ended, when the game names it, else None. ``reset`` returns a state that
+    is already done when the episode has no step to take (a horizon of 0):
+    that episode has length 0 and return 0.0, and nothing steps it or asks a
+    policy for an action. ``encode`` and ``action_mask`` accept every state,
+    a done one too.
     """
 
     action_count: int
@@ -61,16 +63,8 @@ class Environment(abc.ABC):
 
     @abc.abstractmethod
     def step(self, state, action: int, rng: np.random.Generator):
-        """Advance one step; returns (next_state, reward). ``done`` tells
-        whether the episode ended at next_state."""
-
-    def done(self, state) -> bool:
-        """Whether the episode has ended at ``state``."""
-        return state.done
-
-    def outcome(self, state):
-        """How an ended episode ended, when the game names it; else None."""
-        return None
+        """Advance one step; returns (next_state, reward). ``next_state.done``
+        tells whether the episode ended there."""
 
     @abc.abstractmethod
     def action_mask(self, state) -> np.ndarray:
@@ -117,14 +111,13 @@ class FunctionPolicy(Policy):
 
 @dataclass(frozen=True)
 class EpisodeRecord:
-    """Seeded trace of one episode and its return.
+    """Trace of one seeded episode and its return.
 
     ``states[0]`` is the reset state; step t took ``actions[t]`` from
     ``states[t]`` to ``states[t + 1]`` and earned ``rewards[t]``. An episode
     of length 0 holds the reset state alone.
     """
 
-    seed: int
     states: tuple
     actions: tuple
     rewards: tuple
@@ -134,7 +127,7 @@ class EpisodeRecord:
 @dataclass(frozen=True)
 class EvalSummary:
     """Statistics of a seeded episode block, and per episode its return,
-    length, count of each action and outcome (``Environment.outcome``)."""
+    length, count of each action and outcome (its last state's ``outcome``)."""
 
     mean: float
     sd: float
@@ -159,7 +152,7 @@ def _play(env: Environment, policy: Policy, states: list, rngs: list):
     episode j. Each round makes one ``policy.act`` call over the live
     episodes, then steps each of them with its own generator.
     """
-    live = [j for j, state in enumerate(states) if not env.done(state)]
+    live = [j for j, state in enumerate(states) if not state.done]
     while live:
         masks = np.array([env.action_mask(states[j]) for j in live])
         actions = policy.act([states[j] for j in live], masks, [rngs[j] for j in live])
@@ -171,7 +164,7 @@ def _play(env: Environment, policy: Policy, states: list, rngs: list):
             action = int(action)
             states[j], reward = env.step(states[j], action, rngs[j])
             yield j, action, reward, states[j]
-        live = [j for j in live if not env.done(states[j])]
+        live = [j for j in live if not states[j].done]
 
 
 def run_episode(env: Environment, policy: Policy, seed: int) -> EpisodeRecord:
@@ -184,7 +177,7 @@ def run_episode(env: Environment, policy: Policy, seed: int) -> EpisodeRecord:
         actions.append(action)
         rewards.append(reward)
         total += reward  # in order: sum() of floats is compensated in 3.12+
-    return EpisodeRecord(seed, tuple(states), tuple(actions), tuple(rewards), total)
+    return EpisodeRecord(tuple(states), tuple(actions), tuple(rewards), total)
 
 
 def evaluate_policy(
@@ -209,7 +202,7 @@ def evaluate_policy(
         for j, action, reward, _ in _play(env, policy, states, rngs):
             returns[start + j] += reward  # in order, as run_episode sums
             action_counts[start + j, action] += 1
-        outcomes.extend(env.outcome(state) for state in states)
+        outcomes.extend(state.outcome for state in states)
     arr = np.asarray(returns)
     sd = float(arr.std(ddof=1)) if n_episodes > 1 else 0.0
     return EvalSummary(

@@ -669,8 +669,10 @@ class TestParsing:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()],
-                             ids=["missing", "directory"])
+    @pytest.mark.parametrize("make", [
+        lambda path: None, lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"\xff\xfe{}"),  # a UTF-16 byte order mark
+    ], ids=["missing", "directory", "not-utf8"])
     def test_unreadable_config_is_usage_error(self, tmp_path, capsys, make):
         cfg = tmp_path / "cfg.json"
         make(cfg)
@@ -680,6 +682,15 @@ class TestParsing:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: cannot read config file")
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "through-file"])
+    def test_out_that_is_or_passes_a_file_is_usage_error(self, tmp_path, capsys, below):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert run(["oracle", "--out", str(afile.joinpath(*below))]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot make output directory")
+        assert afile.read_text() == "kept\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["afile"]
 
     def test_parser_subcommands(self):
         parser = build_parser()

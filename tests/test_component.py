@@ -128,14 +128,14 @@ class TestCoinStep:
     def test_terminate(self):
         state = make_state(0, 0, 10)
         nxt, reward = self.env.step(state, TERMINATE, FixedRng())
-        assert (reward, self.env.done(nxt)) == (0.0, True)
+        assert (reward, nxt.done) == (0.0, True)
         assert nxt.info == TabularState(0, 0, 10)
 
     def test_test_success(self):
         state = make_state(0, 0, 10)
         nxt, reward = self.env.step(state, TEST, FixedRng(0.2))  # 0.2 < 0.5
         assert reward == -10_000.0
-        assert nxt.info == TabularState(1, 0, 9) and not self.env.done(nxt)
+        assert nxt.info == TabularState(1, 0, 9) and not nxt.done
 
     def test_test_failure(self):
         state = make_state(0, 0, 10)
@@ -147,7 +147,7 @@ class TestCoinStep:
         state = make_state(3, 0, 5, theta=0.99)
         nxt, reward = self.env.step(state, REPLACE, FixedRng(0.3))
         assert reward == -100_000.0
-        assert nxt.info == TabularState(0, 0, 4) and not self.env.done(nxt)
+        assert nxt.info == TabularState(0, 0, 4) and not nxt.done
         assert nxt.hidden_theta == 0.5  # 0.3 < prior_bad draws the bad one
 
     def test_use_win_and_lose(self):
@@ -162,7 +162,7 @@ class TestCoinStep:
     def test_last_day_ends_episode(self):
         state = make_state(0, 0, 1)
         nxt, _ = self.env.step(state, TEST, FixedRng(0.1))
-        assert self.env.done(nxt)
+        assert nxt.done
 
     def test_step_after_done(self):
         state = make_state(0, 0, 0)
@@ -186,7 +186,7 @@ class TestSuccessorRule:
                 for u in (0.0, 1.0):
                     nxt, _ = env.step(CoinState(info, 0.5), action, FixedRng(u))
                     if action == TERMINATE:
-                        assert env.done(nxt) and nxt.info == info
+                        assert nxt.done and nxt.info == info
                     else:
                         reached.add(nxt.info)
                 assert reached == looked_up, (info, action)
@@ -251,7 +251,7 @@ class TestEpisodeInvariants:
     def test_horizon_zero_episode_is_empty(self, encoding):
         env = ComponentEnv(CoinConfig(horizon=0), encoding=encoding)
         state = env.reset(np.random.default_rng(0))
-        assert state.done and env.done(state)
+        assert state.done
         assert env.encode(state).aux[-1] == 0.0
         never = FunctionPolicy(lambda s: 1 / 0)
         rec = run_episode(env, never, seed=5)

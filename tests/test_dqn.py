@@ -14,6 +14,17 @@ from pdtwin.nets import DeepSetsNet
 from pdtwin.oracle import TabularState, backward_induction, policy_value
 
 
+@dataclasses.dataclass(frozen=True)
+class BanditState:
+    """The bandit's two states: START, and END after its one step."""
+
+    done: bool
+    outcome = None
+
+
+START, END = BanditState(False), BanditState(True)
+
+
 class BanditEnv(Environment):
     """One-step environment: action 1 pays 1, everything else pays 0."""
 
@@ -22,13 +33,10 @@ class BanditEnv(Environment):
     aux_dim = 1
 
     def reset(self, rng):
-        return 0
+        return START
 
     def step(self, state, action, rng):
-        return 1, 1.0 if action == 1 else 0.0
-
-    def done(self, state):
-        return state == 1
+        return END, 1.0 if action == 1 else 0.0
 
     def action_mask(self, state):
         return np.ones(3, dtype=bool)
@@ -39,7 +47,7 @@ class BanditEnv(Environment):
 
 def start_q(policy):
     """Q values the policy's network gives the bandit's start state."""
-    enc = BanditEnv().encode(0)
+    enc = BanditEnv().encode(START)
     return policy.net.forward(enc.elements, enc.aux)
 
 
@@ -281,7 +289,7 @@ class TestTraining:
     def test_divergence_detection(self):
         class NanEnv(BanditEnv):
             def step(self, state, action, rng):
-                return 1, float("nan")
+                return END, float("nan")
 
         cfg = TrainConfig(episodes=50, warmup=8, batch_size=8)
         with pytest.raises(DivergenceDetected):
@@ -302,7 +310,7 @@ class TestTraining:
         # a zero-step episode: nothing is stepped, stored or learned
         class DoneAtResetEnv(BanditEnv):
             def reset(self, rng):
-                return 1
+                return END
 
             def step(self, state, action, rng):
                 raise AssertionError("a done state was stepped")
@@ -318,7 +326,7 @@ class TestQPolicy:
     def test_greedy_policy_is_deterministic(self):
         result = train(BanditEnv(), TrainConfig(episodes=100, warmup=16))
         policy = result.policy
-        acts = {int(policy.act([0], np.ones((1, 3), dtype=bool),
+        acts = {int(policy.act([START], np.ones((1, 3), dtype=bool),
                                [np.random.default_rng(i)])[0])
                 for i in range(10)}
         assert len(acts) == 1
@@ -330,7 +338,7 @@ class TestQPolicy:
         policy = train(BanditEnv(), TrainConfig(episodes=20, warmup=16)).policy
         rngs = [np.random.default_rng(5 + j) for j in range(3)]
         references = [np.random.default_rng(5 + j) for j in range(3)]
-        actions = policy.act([0, 0, 0], np.ones((3, 3), dtype=bool), rngs)
+        actions = policy.act([START] * 3, np.ones((3, 3), dtype=bool), rngs)
         assert len(actions) == 3
         for rng, reference in zip(rngs, references):
             reference.random()

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from pdtwin.dqn import QPolicy
 from pdtwin.envs.component import TERMINATE, USE, CoinConfig, ComponentEnv
 from pdtwin.envs.reliability import (
+    CONFIRMED_ABOVE, CONFIRMED_BELOW, FAILED,
     ReliabilityConfig, ReliabilityEnv, benchmark_policy_action,
 )
 from pdtwin.mdp import (
@@ -18,8 +20,19 @@ from pdtwin.nets import DeepSetsNet
 from pdtwin.oracle import OraclePolicy, backward_induction
 
 
+@dataclass(frozen=True)
+class FakeState:
+    """A fake environment's state: its ``value`` plus the ``done`` and
+    ``outcome`` every state carries."""
+
+    value: object
+    done: bool
+    outcome: object = None
+
+
 class TwoStepEnv(Environment):
-    """Minimal deterministic environment: two steps, rewards 1 then 2."""
+    """Minimal deterministic environment: two steps, rewards 1 then 2. A
+    state's value counts the steps taken."""
 
     action_count = 2
     element_dim = 1
@@ -29,13 +42,11 @@ class TwoStepEnv(Environment):
         self.mask_second_action = mask_second_action
 
     def reset(self, rng):
-        return 0
+        return FakeState(0, False)
 
     def step(self, state, action, rng):
-        return state + 1, float(state + 1)
-
-    def done(self, state):
-        return state >= 2
+        taken = state.value + 1
+        return FakeState(taken, taken >= 2), float(taken)
 
     def action_mask(self, state):
         mask = np.ones(2, dtype=bool)
@@ -44,13 +55,13 @@ class TwoStepEnv(Environment):
         return mask
 
     def encode(self, state):
-        return StateEncoding((), np.array([float(state)]))
+        return StateEncoding((), np.array([float(state.value)]))
 
 
 class StaggeredEnv(Environment):
     """Episodes of 0 to ``longest`` steps, the length drawn at reset; each
     step draws its reward from the episode's rng. Action 1 is masked at the
-    third step. A state is (steps left, steps taken)."""
+    third step. A state's value is (steps left, steps taken)."""
 
     action_count = 2
     element_dim = 1
@@ -60,20 +71,18 @@ class StaggeredEnv(Environment):
         self.longest = longest
 
     def reset(self, rng):
-        return (int(rng.integers(self.longest + 1)), 0)
+        left = int(rng.integers(self.longest + 1))
+        return FakeState((left, 0), left == 0)
 
     def step(self, state, action, rng):
-        left, taken = state
-        return (left - 1, taken + 1), float(rng.random()) + action
-
-    def done(self, state):
-        return state[0] == 0
+        left, taken = state.value
+        return FakeState((left - 1, taken + 1), left == 1), float(rng.random()) + action
 
     def action_mask(self, state):
-        return np.array([True, state[1] != 2])
+        return np.array([True, state.value[1] != 2])
 
     def encode(self, state):
-        return StateEncoding(np.empty((0, 1)), np.array(state, dtype=float))
+        return StateEncoding(np.empty((0, 1)), np.array(state.value, dtype=float))
 
 
 class RecordingPolicy(Policy):
@@ -85,7 +94,7 @@ class RecordingPolicy(Policy):
         self.batches = []
 
     def act(self, states, masks, rngs):
-        assert not any(self.env.done(state) for state in states)
+        assert not any(state.done for state in states)
         assert masks.shape == (len(states), self.env.action_count) == (len(rngs), 2)
         self.batches.append(len(states))
         return [0] * len(states)
@@ -136,7 +145,7 @@ class TestLockstepEvaluation:
             assert summary.returns[i] == rec.total_return, (case, i)
             assert summary.action_counts[i].tolist() == np.bincount(
                 rec.actions, minlength=env.action_count).tolist(), (case, i)
-            assert summary.outcomes[i] == env.outcome(rec.states[-1])
+            assert summary.outcomes[i] == rec.states[-1].outcome
 
     def test_done_episodes_are_never_asked(self):
         env = StaggeredEnv()
@@ -175,7 +184,7 @@ class TestRunEpisode:
         rec = run_episode(TwoStepEnv(), FunctionPolicy(lambda s: 0), seed=0)
         assert rec.total_return == 1.0 + 2.0
         assert len(rec.actions) == 2
-        assert rec.states[-1] == 2
+        assert rec.states[-1].value == 2
 
     def test_masked_action_raises(self):
         with pytest.raises(PolicyReturnedMaskedAction):
@@ -226,7 +235,7 @@ class TestEvaluatePolicy:
                 for reward in rec.rewards:
                     total += reward
                 assert rec.total_return == total
-                done = [env.done(s) for s in rec.states]
+                done = [s.done for s in rec.states]
                 assert done == [False] * len(rec.actions) + [True]
                 assert summary.returns[i] == rec.total_return
                 assert summary.lengths[i] == len(rec.actions)
@@ -234,11 +243,46 @@ class TestEvaluatePolicy:
                     rec.actions.count(a) for a in range(env.action_count)
                 ]
                 assert rec.states[-1].done
-                assert summary.outcomes[i] == getattr(rec.states[-1], "outcome", None)
+                assert summary.outcomes[i] == rec.states[-1].outcome
 
     def test_requires_at_least_one_episode(self):
         with pytest.raises(ValueError):
             evaluate_policy(TwoStepEnv(), FunctionPolicy(lambda s: 0), 0, 0)
+
+
+def _contract_cases():
+    return {
+        "component-compressed": ComponentEnv(),
+        "component-set": ComponentEnv(encoding="set"),
+        "component-constrained": ComponentEnv(CoinConfig(constrained=True)),
+        "component-horizon-0": ComponentEnv(CoinConfig(horizon=0)),
+        "reliability": ReliabilityEnv(),
+        "reliability-decided-at-reset": ReliabilityEnv(
+            ReliabilityConfig(prior_discrepancy_mean=40.0)),
+    }
+
+
+# the cases whose reset state is already done
+_EMPTY_EPISODES = {"component-horizon-0", "reliability-decided-at-reset"}
+
+
+class TestStateContract:
+    @pytest.mark.parametrize("case", sorted(_contract_cases()))
+    def test_every_state_carries_done_and_outcome(self, case):
+        """``done`` is a bool on every state. A component state names no
+        outcome; a reliability state names its verdict exactly when done."""
+        env = _contract_cases()[case]
+        for seed in range(4):
+            rec = run_episode(env, RandomPolicy(), seed)
+            assert (len(rec.actions) == 0) == (case in _EMPTY_EPISODES)
+            for state in rec.states:
+                assert type(state.done) is bool
+                if isinstance(env, ComponentEnv):
+                    assert state.outcome is None
+                elif state.done:
+                    assert state.outcome in (CONFIRMED_BELOW, CONFIRMED_ABOVE, FAILED)
+                else:
+                    assert state.outcome is None
 
 
 class TestExports:

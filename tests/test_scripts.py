@@ -5,6 +5,7 @@ import csv
 import importlib.util
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,38 @@ def test_output_check_finds_a_tree_identical_to_itself(tmp_path, capsys):
              ["train"]["seed"]
              for name in ("reliability_snapshots", "horizon0_eval", "horizon0_compare")]
     assert seeds == [1, 7, 0]
+
+
+@pytest.mark.parametrize("given_out, differ", [
+    (False, False), (False, True), (True, False),
+], ids=["temporary-identical", "temporary-differing", "given-identical"])
+def test_output_check_removes_only_its_own_identical_tree(
+        tmp_path, monkeypatch, capsys, given_out, differ):
+    check = load_script("check_outputs_identical")
+
+    def write_outputs(src, out, sizes):  # one file, which differs if asked
+        out.mkdir(parents=True)
+        (out / "a.csv").write_text(f"{differ and src.name == 'parent_src'}\n")
+
+    monkeypatch.setattr(check, "write_outputs", write_outputs)
+    monkeypatch.setattr(check, "imported_from", lambda src: src)
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    given = tmp_path / "given"
+    argv = ["--parent", str(tmp_path / "parent_src")]
+    code = check.main(argv + ["--out", str(given)] if given_out else argv)
+    printed = capsys.readouterr().out
+    made = list(temp.iterdir())
+    assert code == int(differ)
+    if given_out:
+        assert made == [] and (given / "this" / "a.csv").is_file()
+    elif differ:
+        assert [path.name[:15] for path in made] == ["pdtwin-outputs-"]
+        assert "differs: a.csv" in printed and f"under {made[0]}" in printed
+        assert (made[0] / "parent" / "a.csv").is_file()
+    else:
+        assert made == [] and "identical" in printed
 
 
 def test_output_check_names_a_differing_file(tmp_path):
