@@ -20,7 +20,9 @@ from . import config as config_mod
 from .dqn import QPolicy, train
 from .envs.component import ComponentEnv
 from .envs.reliability import FAILED, ReliabilityEnv, benchmark_policy_action
-from .mdp import FunctionPolicy, RandomPolicy, evaluate_policy, write_csv, write_json
+from .mdp import (
+    FunctionPolicy, RandomPolicy, evaluate_policy, mean_sd, write_csv, write_json,
+)
 from .nets import load_checkpoint, save_checkpoint
 from .oracle import (
     HorizonTooDeep, OraclePolicy, TabularState, backward_induction, table_to_csv,
@@ -96,7 +98,7 @@ def _reliability_episodes(path, summary, base_seed) -> tuple:
              summary.action_counts.tolist()))),
     )
     costs = [ret for ok, ret in zip(success, summary.returns) if ok]
-    return len(costs) / len(success), (float(np.mean(costs)) if costs else None)
+    return len(costs) / len(success), (mean_sd(costs)[0] if costs else None)
 
 
 def _return_histogram(summary, component_config) -> tuple:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from pathlib import Path
 
 from .dqn import TrainConfig
 from .envs.component import CoinConfig
 from .envs.reliability import ReliabilityConfig
 from .mdp import write_json
+from .settings import check_value
 
 
 class ConfigError(ValueError):
@@ -49,51 +49,25 @@ RELIABILITY_TRAIN_DEFAULTS = {
 }
 
 
-# annotation name -> accepted JSON value types; an integer may stand for a float
-_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
-          "tuple": (tuple,), "None": (type(None),)}
-
-
 def _build(cls, *layers: dict):
     """Instantiate ``cls`` from layers of overrides; a later layer wins.
 
-    Every value of every layer is checked, including those a later layer
-    replaces, so a command-line value never hides a malformed file value.
+    Every value of every layer is checked against its field, including those
+    a later layer replaces, so a command-line value never hides a malformed
+    file value.
     """
     values = {}
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    for layer in layers:
-        for key, value in layer.items():
-            if key not in fields:
-                raise ConfigError(f"unknown key {key!r} for {cls.__name__}")
-            if isinstance(value, list):
-                value = tuple(value)
-            _check_type(cls, fields[key], value)
-            values[key] = value
     try:
+        for layer in layers:
+            for key, value in layer.items():
+                if key not in fields:
+                    raise ValueError(f"unknown key {key!r}")
+                values[key] = tuple(value) if isinstance(value, list) else value
+                check_value(fields[key], values[key])
         return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"invalid {cls.__name__}: {exc}") from exc
-
-
-def _check_type(cls, field, value) -> None:
-    """Reject a value of a type its annotation does not name, or a NaN or
-    infinity; an int standing for a float must lie in the float range (it is
-    kept as given)."""
-    names = field.type.split(" | ")
-    allowed = sum((_TYPES[name] for name in names), ())
-    if type(value) not in allowed:
-        raise ConfigError(
-            f"{cls.__name__}.{field.name} must be {field.type}, got {value!r}"
-        )
-    if type(value) is int and "float" in names:
-        try:
-            float(value)
-        except OverflowError:
-            raise ConfigError(f"{cls.__name__}.{field.name} must be finite, "
-                              "got an integer past the float range") from None
-    if type(value) is float and not math.isfinite(value):
-        raise ConfigError(f"{cls.__name__}.{field.name} must be finite, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)

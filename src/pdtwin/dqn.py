@@ -14,6 +14,7 @@ import numpy as np
 
 from .mdp import Environment, Policy, StateEncoding, evaluate_policy
 from .nets import Adam, DeepSetsNet, SetBatch
+from .settings import check_fields, setting
 
 
 class NoLegalAction(RuntimeError):
@@ -24,56 +25,40 @@ class DivergenceDetected(RuntimeError):
     """Training loss or Q values became non-finite."""
 
 
-# smallest legal value of each integer setting of TrainConfig
-_INT_LOWER_BOUNDS = {
-    "episodes": 0, "warmup": 0, "seed": 0, "snapshot_seed_base": 0,
-    "batch_size": 1, "replay_capacity": 1, "train_every": 1,
-    "target_sync": 1, "snapshot_episodes": 1, "latent_dim": 1,
-    "snapshot_every": 1, "epsilon_decay_episodes": 1,
-}
-
-
 @dataclass
 class TrainConfig:
-    episodes: int = 3000
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    discount: float = 1.0
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_episodes: int | None = None  # default: first half of training
-    target_sync: int = 500  # environment steps between target-net syncs
-    replay_capacity: int = 50_000
-    warmup: int = 500  # transitions collected before learning starts
-    train_every: int = 1  # environment steps between gradient updates
-    seed: int = 0
-    reward_scale: float = 1.0  # rewards divided by this inside the learner
+    episodes: int = setting(3000, low=0)
+    batch_size: int = setting(64, low=1)
+    learning_rate: float = setting(1e-3, above=0.0)
+    discount: float = setting(1.0, low=0.0, high=1.0)
+    epsilon_start: float = setting(1.0, low=0.0, high=1.0)
+    epsilon_end: float = setting(0.05, low=0.0, high=1.0)
+    epsilon_decay_episodes: int | None = setting(None, low=1)  # None: half the episodes
+    target_sync: int = setting(500, low=1)  # environment steps between target-net syncs
+    replay_capacity: int = setting(50_000, low=1)
+    warmup: int = setting(500, low=0)  # transitions collected before learning starts
+    train_every: int = setting(1, low=1)  # environment steps between gradient updates
+    seed: int = setting(0, low=0)
+    reward_scale: float = setting(1.0, above=0.0)  # the learner divides rewards by it
     double_dqn: bool = False
     # when set, the greedy policy is scored on a fixed validation seed block
     # every snapshot_every episodes (and once at the end) and the best
     # snapshot is returned instead of the final network; guards against
     # late-training policy collapse
-    snapshot_every: int | None = None
-    snapshot_episodes: int = 50
-    snapshot_seed_base: int = 900_000
+    snapshot_every: int | None = setting(None, low=1)
+    snapshot_episodes: int = setting(50, low=1)
+    snapshot_seed_base: int = setting(900_000, low=0)
     phi_hidden: tuple = (32, 32)
-    latent_dim: int = 16
+    latent_dim: int = setting(16, low=1)
     rho_hidden: tuple = (32, 32)
 
     def __post_init__(self):
-        if not (0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0):
-            raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
-        for name, low in _INT_LOWER_BOUNDS.items():
-            value = getattr(self, name)
-            if value is not None and value < low:  # None: the documented default
-                raise ValueError(f"{name} must be >= {low}")
+        check_fields(self)
+        if not self.epsilon_end <= self.epsilon_start:
+            raise ValueError("need epsilon_end <= epsilon_start")
         hidden = (*self.phi_hidden, *self.rho_hidden)
         if not all(type(h) is int and h >= 1 for h in hidden):
             raise ValueError("hidden layer sizes must be integers >= 1")
-        if not (0.0 <= self.discount <= 1.0):
-            raise ValueError("discount must lie in [0, 1]")
-        if not (self.learning_rate > 0.0 and self.reward_scale > 0.0):
-            raise ValueError("learning_rate and reward_scale must be > 0")
         if self.replay_capacity < max(self.warmup, self.batch_size):
             # learning starts once the buffer holds that many transitions
             raise ValueError("replay_capacity must be >= max(warmup, batch_size)")
@@ -200,7 +185,10 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
         ep_return = 0.0
         enc, mask = env.encode(state), env.action_mask(state)
         while not state.done:
-            q, _ = net.forward_batch(SetBatch([enc.elements], enc.aux[None]))
+            # the learner's overflows end as non-finite Q values or loss, which
+            # raise DivergenceDetected; numpy's warnings about them add nothing
+            with np.errstate(over="ignore", invalid="ignore"):
+                q, _ = net.forward_batch(SetBatch([enc.elements], enc.aux[None]))
             if not np.isfinite(q).all():
                 raise DivergenceDetected(
                     f"non-finite Q values at episode {episode}, step {global_step + 1}"
@@ -234,9 +222,11 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
         if config.snapshot_every is not None and (
             (episode + 1) % config.snapshot_every == 0 or episode + 1 == config.episodes
         ):
-            score = evaluate_policy(  # mean greedy return on the validation block
-                env, QPolicy(net, env), config.snapshot_episodes, config.snapshot_seed_base
-            ).mean
+            with np.errstate(over="ignore", invalid="ignore"):
+                score = evaluate_policy(  # mean greedy return on the validation block
+                    env, QPolicy(net, env), config.snapshot_episodes,
+                    config.snapshot_seed_base,
+                ).mean
             result.snapshot_scores.append((episode + 1, score))
             if score > best_score:
                 best_score = score
@@ -248,6 +238,7 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
     return result
 
 
+@np.errstate(over="ignore", invalid="ignore")  # train checks the loss it returns
 def _update(net, target, optimizer, buffer, config, rng) -> float:
     idx = buffer.sample(config.batch_size, rng)
     next_batch = SetBatch(buffer.next_sets[idx], buffer.next_aux[idx])

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mdp import Environment, StateEncoding, StepAfterDone
+from ..settings import check_fields, require_finite, setting
 
 TERMINATE, TEST, REPLACE, USE = 0, 1, 2, 3
 _OUTCOME_ROWS = np.array([[0.0], [1.0]])  # set elements for Y = 0 and Y = 1
@@ -23,33 +24,24 @@ _OUTCOME_ROWS = np.array([[0.0], [1.0]])  # set elements for Y = 0 and Y = 1
 
 @dataclass(frozen=True)
 class CoinConfig:
-    horizon: int = 10
-    theta_bad: float = 0.5
-    theta_good: float = 0.99
-    prior_bad: float = 0.5  # initial P(theta = theta_bad)
+    horizon: int = setting(10, low=0)
+    theta_bad: float = setting(0.5, low=0.0, high=1.0)
+    theta_good: float = setting(0.99, low=0.0, high=1.0)
+    prior_bad: float = setting(0.5, low=0.0, high=1.0)  # initial P(theta = theta_bad)
     test_cost: float = -10_000.0
     replace_cost: float = -100_000.0
     use_stake: float = 1_000_000.0  # won on Y = 0, lost on Y = 1
-    constraint_threshold: float = 0.9  # Use requires P(theta_good) > this
+    constraint_threshold: float = setting(0.9, low=0.0, high=1.0)  # Use: P(good) > it
     constrained: bool = False
 
     def __post_init__(self):
-        if not (0.0 <= self.theta_bad < self.theta_good <= 1.0):
-            raise ValueError("need 0 <= theta_bad < theta_good <= 1")
-        for name in ("prior_bad", "constraint_threshold"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        try:  # the histograms bin [-return_bound, return_bound] in equal widths
-            span = 2.0 * self.return_bound
-        except OverflowError:  # a horizon beyond the float range
-            span = math.inf
-        if not math.isfinite(span):
-            raise ValueError(
-                "2 * horizon * max(|use_stake|, |replace_cost|, |test_cost|) "
-                "must be finite"
-            )
+        check_fields(self)
+        if not self.theta_bad < self.theta_good:
+            raise ValueError("need theta_bad < theta_good")
+        # the histograms bin [-return_bound, return_bound] in equal widths
+        require_finite(lambda: 2.0 * self.return_bound,
+                       "2 * horizon * max(|use_stake|, |replace_cost|, |test_cost|) "
+                       "must be finite")
 
     @property
     def return_bound(self):

@@ -17,7 +17,6 @@ predictive variance.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from ..beliefs import GaussianBelief, gaussian_condition
 from ..mdp import Environment, StateEncoding, StepAfterDone
 from ..nets import canonical_set
+from ..settings import check_fields, require_finite, setting
 
 MEASUREMENT, FE, LAB = 0, 1, 2
 
@@ -36,71 +36,57 @@ FAILED = "failed"
 
 @dataclass(frozen=True)
 class ReliabilityConfig:
-    input_dim: int = 5  # the surrogate is linear in the raw input coordinates
-    pool_size: int = 64
-    pool_seed: int = 20_240_101
+    input_dim: int = setting(5, low=1)  # the surrogate is linear in the raw inputs
+    pool_size: int = setting(64, low=1)
+    pool_seed: int = setting(20_240_101, low=0)
     prior_beta_mean: float = 0.5
-    prior_beta_var: float = 0.09
+    prior_beta_var: float = setting(0.09, low=0.0)
     prior_defect_mean: float = 0.5
-    prior_defect_var: float = 0.09
+    prior_defect_var: float = setting(0.09, low=0.0)
     prior_discrepancy_mean: float = 4.0
-    prior_discrepancy_var: float = 1.0
-    measurement_noise_var: float = 0.01
-    lab_noise_var: float = 1.0
-    fe_noise_var: float = 1e-6
-    sigma_a: float = 0.5
+    prior_discrepancy_var: float = setting(1.0, low=0.0)
+    measurement_noise_var: float = setting(0.01, above=0.0)
+    lab_noise_var: float = setting(1.0, above=0.0)
+    fe_noise_var: float = setting(1e-6, above=0.0)
+    sigma_a: float = setting(0.5, low=0.0)
     gamma: float = 0.5
     cost_measurement: float = -10.0
     cost_lab: float = -1.0
     cost_fe: float = -0.1
-    target: float = 1e-3
-    max_actions: int = 40
-    n_mc: int = 512
+    target: float = setting(1e-3, above=0.0, below=1.0)
+    max_actions: int = setting(40, low=1)
+    n_mc: int = setting(512, low=2)  # Std(p_f) needs two draws
     # charged on budget exhaustion; large enough that abandoning a marginal
     # episode by spamming cheap actions is never worth more than paying for
     # the lab tests that could still confirm it
     failure_penalty: float = -100.0
 
     def __post_init__(self):
-        for name in ("input_dim", "pool_size", "max_actions"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.pool_seed < 0:
-            raise ValueError("pool_seed must be >= 0")
-        if self.n_mc < 2:
-            raise ValueError("n_mc must be >= 2: Std(p_f) needs two draws")
-        for name in ("measurement_noise_var", "lab_noise_var", "fe_noise_var"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("prior_beta_var", "prior_defect_var", "prior_discrepancy_var",
-                     "sigma_a"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if not (0.0 < self.target < 1.0):
-            raise ValueError("target must lie in (0, 1)")
+        check_fields(self)
         # the p_f scales add sigma_a^2; a prior pool variance reaches input_dim * var
-        for text, value in (("sigma_a * sigma_a", self.sigma_a * self.sigma_a),
-                            ("input_dim * prior_beta_var",
-                             self.input_dim * self.prior_beta_var)):
-            if not value <= sys.float_info.max:  # also an int past the float range
-                raise ValueError(f"{text} must be finite")
-        # gaussian_condition weighs the belief's mean and each observation by a
-        # precision that reaches 1/prior_var + max_actions/noise_var; the truth
-        # lies within 10 prior sd of the prior mean and an observation within
-        # 10 noise sd of the truth, so that reach times the precision must be
-        # finite
-        for noise, belief in (("measurement_noise_var", "defect"),
-                              ("lab_noise_var", "discrepancy")):
-            mean = getattr(self, f"prior_{belief}_mean")
-            var = getattr(self, f"prior_{belief}_var")
-            noise_var = getattr(self, noise)
-            if var == 0.0:  # a point-mass belief is never updated
-                continue
-            precision = 1.0 / var + self.max_actions / noise_var
-            reach = max(abs(mean) + 10.0 * (math.sqrt(var) + math.sqrt(noise_var)), 1.0)
-            if not precision * reach <= sys.float_info.max:
-                raise ValueError(f"{noise} too small for the {belief} prior: "
-                                 "max_actions updates would leave the float range")
+        require_finite(lambda: self.sigma_a * self.sigma_a,
+                       "sigma_a * sigma_a must be finite")
+        require_finite(lambda: self.input_dim * self.prior_beta_var,
+                       "input_dim * prior_beta_var must be finite")
+        # every return lies within +-(max_actions * cost + |failure_penalty|)
+        cost = max(abs(self.cost_measurement), abs(self.cost_lab), abs(self.cost_fe))
+        require_finite(lambda: 2.0 * (self.max_actions * cost + abs(self.failure_penalty)),
+                       "2 * (max_actions * max(|cost_measurement|, |cost_lab|, |cost_fe|) "
+                       "+ |failure_penalty|) must be finite")
+        # gaussian_condition's precision reaches 1/prior_var + max_actions/noise_var
+        # and weighs a truth within 10 prior sd of the prior mean and observations
+        # within 10 noise sd of the truth: that reach times it must be finite
+        for noise, belief, mean, var, noise_var in (
+                ("measurement_noise_var", "defect", self.prior_defect_mean,
+                 self.prior_defect_var, self.measurement_noise_var),
+                ("lab_noise_var", "discrepancy", self.prior_discrepancy_mean,
+                 self.prior_discrepancy_var, self.lab_noise_var)):
+            if var != 0.0:  # a point-mass belief is never updated
+                require_finite(
+                    lambda: (1.0 / var + self.max_actions / noise_var)
+                    * max(abs(mean) + 10.0 * (math.sqrt(var) + math.sqrt(noise_var)), 1.0),
+                    f"{noise} too small for the {belief} prior: "
+                    "max_actions updates would leave the float range")
 
     def candidate_pool(self) -> np.ndarray:
         """Fixed design-candidate grid in [-1, 1]^input_dim."""
@@ -197,16 +183,6 @@ class ReliabilityState:
     @property
     def done(self) -> bool:
         return self.outcome is not None
-
-
-def pf_given_theta(
-    beta: np.ndarray, d: float, mu_m: float, config: ReliabilityConfig
-) -> float:
-    """Closed-form failure probability for fixed epistemic values."""
-    beta = np.asarray(beta, dtype=float)
-    margin = mu_m + config.gamma * d
-    scale = np.sqrt(float(beta @ beta) + config.sigma_a**2)
-    return float(_pf(margin, scale))
 
 
 def _pf(margins, scales):

@@ -203,17 +203,25 @@ def evaluate_policy(
             returns[start + j] += reward  # in order, as run_episode sums
             action_counts[start + j, action] += 1
         outcomes.extend(state.outcome for state in states)
-    arr = np.asarray(returns)
-    sd = float(arr.std(ddof=1)) if n_episodes > 1 else 0.0
     return EvalSummary(
-        mean=float(arr.mean()),
-        sd=sd,
-        min=float(arr.min()),
-        max=float(arr.max()),
+        *mean_sd(returns),
+        min=min(returns),
+        max=max(returns),
         returns=tuple(float(r) for r in returns),
         action_counts=action_counts,
         outcomes=tuple(outcomes),
     )
+
+
+def mean_sd(values) -> tuple:
+    """Mean and sample sd (0.0 for one value) of ``values``, taken exactly at
+    the power-of-two scale that brings the largest into [0.5, 1), where no
+    sum overflows."""
+    arr = np.asarray(values, dtype=float)
+    exponent = int(np.frexp(np.abs(arr).max())[1])
+    scaled = np.ldexp(arr, -exponent)
+    sd = scaled.std(ddof=1) if len(arr) > 1 else 0.0
+    return float(np.ldexp(scaled.mean(), exponent)), float(np.ldexp(sd, exponent))
 
 
 def write_csv(path, header: list, rows) -> None:

@@ -377,6 +377,21 @@ class TestHistogramRange:
             assert sum(int(r[name]) for r in rows) == 400
 
 
+class TestHugeReturns:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("stake", [8e307, 1e160])
+    def test_statistics_stay_finite(self, tmp_path, stake):
+        # the returns are finite, but at 8e307 their sum is not, and at 1e160
+        # neither is the sum of their squared deviations
+        cmp_out = tmp_path / "cmp"
+        assert run(["compare", "--env", "component", "--episodes", "50",
+                    "--config", str(component_config(tmp_path, use_stake=stake, horizon=1)),
+                    "--out", str(cmp_out)]) == 0
+        for row in read_csv(cmp_out / "compare_table.csv"):
+            mean, sd = float(row["mean"]), float(row["sd"])
+            assert abs(mean) <= stake and 0.0 < sd <= 2.0 * stake
+
+
 class TestCommandFrame:
     """main loads the run config, makes the output directory and writes
     resolved_config.json for every command. Only train's --seed and
@@ -522,6 +537,8 @@ class TestParsing:
         {"env": {"component": {"theta_bad": 1.5}}},
         {"train": {"seed": "x"}},
         {"env": {"component": {"use_stake": float("nan")}}},
+        {"train": {"episodes": -1}},  # the type is right, the bound is not
+        {"train": {"seed": -5}},
     ])
     def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, config):
         # --episodes and --seed replace the file's values but must not hide them
@@ -574,7 +591,10 @@ class TestParsing:
     @pytest.mark.parametrize("settings, product", [
         ({"sigma_a": 1e155}, "sigma_a * sigma_a"),
         ({"prior_beta_var": 1e308}, "input_dim * prior_beta_var"),
-    ], ids=["sigma_a", "prior_beta_var"])
+        # a return reaches max_actions costs and the failure penalty
+        ({"cost_lab": -1e308}, "2 * (max_actions * max(|cost_measurement|, "
+                               "|cost_lab|, |cost_fe|) + |failure_penalty|)"),
+    ], ids=["sigma_a", "prior_beta_var", "cost_lab"])
     @pytest.mark.parametrize("argv", [
         ["train", "--episodes", "1"], ["compare", "--episodes", "1"],
     ], ids=["train", "compare"])

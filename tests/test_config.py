@@ -137,6 +137,11 @@ class TestValidation:
         ("train", {"learning_rate": 10**400}),
         # 40 measurements at this noise overflow the defect belief's precision
         ("reliability", {"measurement_noise_var": 1e-308}),
+        # a reliability return reaches max_actions costs plus the penalty
+        ("reliability", {"cost_lab": -1e308}),
+        # an int setting whose product with a float leaves the float range
+        ("reliability", {"input_dim": 10**400}),
+        ("reliability", {"max_actions": 10**400}),
     ])
     def test_rejects_bad_values(self, tmp_path, section, values):
         raw = {"train": values} if section == "train" else {"env": {section: values}}
@@ -170,11 +175,28 @@ class TestValidation:
             load_run_config(str(path), "component")
 
     def test_every_field_annotation_is_checkable(self):
-        from pdtwin.config import _TYPES, CoinConfig, ReliabilityConfig, TrainConfig
+        from pdtwin.config import CoinConfig, ReliabilityConfig, TrainConfig
+        from pdtwin.settings import TYPES
 
         for cls in (CoinConfig, ReliabilityConfig, TrainConfig):
             for field in dataclasses.fields(cls):
-                assert set(field.type.split(" | ")) <= set(_TYPES), field.name
+                assert set(field.type.split(" | ")) <= set(TYPES), field.name
+
+    def test_readme_bounds_list_names_every_bounded_field(self):
+        from pathlib import Path
+
+        from pdtwin.config import CoinConfig, ReliabilityConfig, TrainConfig
+        from pdtwin.settings import BOUNDS
+
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("\n### Config bounds\n", 1)[1]
+        # the list: from its first item to the first blank line after it
+        listed = section[section.index("\n- "):].split("\n\n", 1)[0]
+        for cls in (CoinConfig, ReliabilityConfig, TrainConfig):
+            for field in dataclasses.fields(cls):
+                assert set(field.metadata) <= set(BOUNDS), field.name
+                if field.metadata:
+                    assert f"`{field.name}`" in listed, field.name
 
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "run.json"

@@ -14,7 +14,7 @@ from pdtwin.envs.reliability import (
 from pdtwin.mdp import (
     EVAL_BLOCK, Environment, EpisodeRecord, FunctionPolicy, Policy,
     PolicyReturnedMaskedAction, RandomPolicy, StateEncoding,
-    evaluate_policy, run_episode, write_csv, write_json,
+    evaluate_policy, mean_sd, run_episode, write_csv, write_json,
 )
 from pdtwin.nets import DeepSetsNet
 from pdtwin.oracle import OraclePolicy, backward_induction
@@ -248,6 +248,25 @@ class TestEvaluatePolicy:
     def test_requires_at_least_one_episode(self):
         with pytest.raises(ValueError):
             evaluate_policy(TwoStepEnv(), FunctionPolicy(lambda s: 0), 0, 0)
+
+
+class TestMeanSd:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_bits_as_numpy_away_from_the_float_limits(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=int(rng.integers(2, 600))) * 10.0 ** rng.integers(-100, 100)
+        assert mean_sd(values) == (float(values.mean()), float(values.std(ddof=1)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_where_the_plain_sums_overflow(self):
+        # the sum of 8e307 three times, and of the squared deviations at 1e160
+        mean, sd = mean_sd([8e307, -8e307, 8e307])
+        assert mean == pytest.approx(8e307 / 3) and sd == pytest.approx(8e307 * 2 / 3**0.5)
+        assert mean_sd([1e160, -1e160] * 3) == (0.0, pytest.approx(1e160 * 1.2**0.5))
+
+    def test_one_value_and_all_zero(self):
+        assert mean_sd([-7.5]) == (-7.5, 0.0)
+        assert mean_sd([0.0, 0.0]) == (0.0, 0.0)
 
 
 def _contract_cases():

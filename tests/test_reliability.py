@@ -13,7 +13,7 @@ from pdtwin.cli import main
 from pdtwin.envs.reliability import (
     CONFIRMED_ABOVE, CONFIRMED_BELOW, FAILED, FE, LAB, MEASUREMENT, UNDECIDED,
     CrnNormals, ReliabilityConfig, ReliabilityEnv, SurrogatePosterior,
-    benchmark_policy_action, check_objective, estimate_pf_stats, pf_given_theta,
+    _pf, benchmark_policy_action, check_objective, estimate_pf_stats,
     select_fe_input,
 )
 from pdtwin.mdp import (
@@ -25,6 +25,16 @@ CONFIG = ReliabilityConfig()
 
 def fresh_state(seed=0):
     return ReliabilityEnv(CONFIG).reset(np.random.default_rng(seed))
+
+
+def pf_given_theta(
+    beta: np.ndarray, d: float, mu_m: float, config: ReliabilityConfig
+) -> float:
+    """Closed-form failure probability for fixed epistemic values."""
+    beta = np.asarray(beta, dtype=float)
+    margin = mu_m + config.gamma * d
+    scale = np.sqrt(float(beta @ beta) + config.sigma_a**2)
+    return float(_pf(margin, scale))
 
 
 def brute_force_pf_stats(state, config, seed, n=1_000_000):
