@@ -5,8 +5,9 @@ Runs both experiment scripts of this checkout, then a horizon-0 ``eval`` and
 ``train.seed``, ``compare``'s does not), ``oracle`` and ``oracle
 --constrained`` on the component game (the only oracle table whose start
 state has no action), a reliability ``train`` at ``--seed 1`` that scores
-a validation snapshot every 40 episodes and a set-encoded component ``train``
-at ``--seed 2`` with a 600-slot replay ring, once with ``--parent``'s pdtwin
+a validation snapshot every 40 episodes, a set-encoded component ``train``
+at ``--seed 2`` with a 600-slot replay ring and a constrained component
+``train`` at ``--seed 1`` with double DQN, once with ``--parent``'s pdtwin
 and once with this checkout's, and compares the two output trees file by
 file.
 Every output is byte-reproducible from its command line, so any difference
@@ -24,7 +25,13 @@ seed 1 is the second (-135.47, -50.02 and -70.08 after episodes 40, 80 and
 120), so a change that returned the final network would alter its
 checkpoint. The ring run trains for the component training size; at 300
 episodes it pushes 2362 transitions, so its ring wraps about four times,
-where the default 50,000-slot ring of every other run never fills.
+where the default 50,000-slot ring of every other run never fills. The
+constrained double-DQN run is the one where the online network chooses the
+bootstrap action under a mask that binds (the reliability game masks no
+action, and every other component run is plain DQN). At the component
+training size learning starts at episode 111, and in the 1632 updates after
+that the mask changes the online network's choice in 86,968 of the sampled
+rows; at seed 0 it changes none, since that policy never wants a barred Use.
 ``--episodes N`` sets all four sizes to N for a smoke run.
 """
 
@@ -43,6 +50,7 @@ SCRIPTS = ROOT / "scripts"
 HORIZON_ZERO = {"env": {"component": {"horizon": 0}}}
 SNAPSHOTS = {"train": {"snapshot_every": 40}}
 SMALL_RING = {"train": {"replay_capacity": 600}}
+DOUBLE_DQN = {"train": {"double_dqn": True}}
 SIZES = {"component_train": 300, "reliability_train": 120,
          "component_eval": 1000, "reliability_eval": 200}
 
@@ -92,6 +100,9 @@ def write_outputs(src: Path, out: Path, sizes: dict) -> None:
               "--episodes", str(sizes["reliability_train"])]),
             ("component_small_ring", SMALL_RING,
              ["--env", "component", "--encoding", "set", "--seed", "2",
+              "--episodes", str(sizes["component_train"])]),
+            ("component_constrained_double", DOUBLE_DQN,
+             ["--env", "component", "--constrained", "--seed", "1",
               "--episodes", str(sizes["component_train"])])):
         config = out / f"{name}.json"
         config.write_text(json.dumps(settings) + "\n")

@@ -63,9 +63,10 @@ def cmd_train(args, run_config, out) -> dict:
     env = _make_env(args, run_config)
     result = train(env, run_config.train)
     if all(np.isnan(result.loss_moving_average)):  # no gradient step ran
-        needed = max(run_config.train.warmup, run_config.train.batch_size)
-        print(f"warning: no gradient step taken; learning starts once the replay "
-              f"holds max(warmup, batch_size) = {needed} transitions", file=sys.stderr)
+        starts, every = run_config.train.learning_starts, run_config.train.train_every
+        print(f"warning: no gradient step taken; learning starts once the replay holds "
+              f"max(warmup, batch_size) = {starts} transitions, and then steps at each "
+              f"multiple of train_every = {every} environment steps", file=sys.stderr)
 
     save_checkpoint(
         out / "checkpoint.npz", result.policy.net,

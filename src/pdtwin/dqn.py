@@ -59,9 +59,12 @@ class TrainConfig:
         hidden = (*self.phi_hidden, *self.rho_hidden)
         if not all(type(h) is int and h >= 1 for h in hidden):
             raise ValueError("hidden layer sizes must be integers >= 1")
-        if self.replay_capacity < max(self.warmup, self.batch_size):
-            # learning starts once the buffer holds that many transitions
-            raise ValueError("replay_capacity must be >= max(warmup, batch_size)")
+        if self.replay_capacity < self.learning_starts:
+            raise ValueError("replay_capacity must be >= warmup and >= batch_size")
+
+    @property
+    def learning_starts(self) -> int:  # transitions held before the first gradient step
+        return max(self.warmup, self.batch_size)
 
     def epsilon_at(self, episode: int) -> float:
         horizon = self.epsilon_decay_episodes or max(1, self.episodes // 2)
@@ -115,8 +118,7 @@ def epsilon_greedy(
     more only when it explores."""
     if not masks.any(axis=1).all():
         raise NoLegalAction("action mask admits no action")
-    # ties resolve to the lowest index; exploring rows overwrite theirs
-    actions = np.argmax(np.where(masks, q_values, -np.inf), axis=1)
+    actions = masked_argmax(q_values, masks)  # exploring rows overwrite theirs
     for j, rng in enumerate(rngs):
         if rng.random() < epsilon:
             legal = np.flatnonzero(masks[j])
@@ -124,14 +126,14 @@ def epsilon_greedy(
     return actions
 
 
-def td_target(reward, done, next_q: np.ndarray, next_mask: np.ndarray, discount):
-    """Bootstrap target: reward, plus the best legal next value if not terminal.
+def masked_argmax(q_values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Each row's best legal action; ties go to the lowest index."""
+    return np.argmax(np.where(masks, q_values, -np.inf), axis=1)
 
-    Takes one transition (scalars, 1-d ``next_q``; the target is a 0-d array)
-    or a batch (arrays, one row of ``next_q`` and ``next_mask`` per transition).
-    """
-    best = np.max(np.where(next_mask, next_q, -np.inf), axis=-1)
-    return np.where(done, reward, reward + discount * best)
+
+def td_target(reward, done, next_value, discount):
+    """Reward, plus the discounted value of the chosen next action if not terminal."""
+    return np.where(done, reward, reward + discount * next_value)
 
 
 class QPolicy(Policy):
@@ -160,14 +162,10 @@ class TrainResult:
 
 def train(env: Environment, config: TrainConfig) -> TrainResult:
     """Run DQN training on ``env``; returns the greedy policy and learning curve."""
-    net = DeepSetsNet(
-        env.element_dim, env.aux_dim, env.action_count,
-        seed=config.seed,
-        phi_hidden=config.phi_hidden,
-        latent_dim=config.latent_dim,
-        rho_hidden=config.rho_hidden,
-    )
-    target = net.copy()
+    net, target = (DeepSetsNet(env.element_dim, env.aux_dim, env.action_count,
+                               seed=config.seed, phi_hidden=config.phi_hidden,
+                               latent_dim=config.latent_dim, rho_hidden=config.rho_hidden)
+                   for _ in range(2))  # one seed: the two start bit-equal
     optimizer = Adam(net.flat.size, learning_rate=config.learning_rate)
     buffer = ReplayBuffer(config.replay_capacity, env.aux_dim, env.action_count)
     train_rng = np.random.default_rng([config.seed, 0x7E57])
@@ -203,10 +201,8 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
             enc, mask = next_enc, next_mask
             global_step += 1
 
-            if (
-                len(buffer) >= max(config.warmup, config.batch_size)
-                and global_step % config.train_every == 0
-            ):
+            if (len(buffer) >= config.learning_starts
+                    and global_step % config.train_every == 0):
                 loss = _update(net, target, optimizer, buffer, config, train_rng)
                 if not np.isfinite(loss):
                     raise DivergenceDetected(
@@ -224,8 +220,7 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
         ):
             with np.errstate(over="ignore", invalid="ignore"):
                 score = evaluate_policy(  # mean greedy return on the validation block
-                    env, QPolicy(net, env), config.snapshot_episodes,
-                    config.snapshot_seed_base,
+                    env, result.policy, config.snapshot_episodes, config.snapshot_seed_base
                 ).mean
             result.snapshot_scores.append((episode + 1, score))
             if score > best_score:
@@ -243,23 +238,20 @@ def _update(net, target, optimizer, buffer, config, rng) -> float:
     idx = buffer.sample(config.batch_size, rng)
     next_batch = SetBatch(buffer.next_sets[idx], buffer.next_aux[idx])
     target_q, _ = target.forward_batch(next_batch)
-    next_mask = buffer.next_mask[idx]
-    if config.double_dqn:
-        # the online network picks the action, the target network values it
-        online_q, _ = net.forward_batch(next_batch)
-        best = np.argmax(np.where(next_mask, online_q, -np.inf), axis=1)
-        next_mask = np.arange(net.output_dim) == best[:, None]
+    # the target net values the next action; under double DQN the online net chooses it
+    chooser = net.forward_batch(next_batch)[0] if config.double_dqn else target_q
+    best = masked_argmax(chooser, buffer.next_mask[idx])
+    rows = np.arange(len(idx))
     targets = td_target(
-        buffer.reward[idx], buffer.done[idx], target_q, next_mask, config.discount
+        buffer.reward[idx], buffer.done[idx], target_q[rows, best], config.discount
     )
 
     batch = SetBatch(buffer.sets[idx], buffer.aux[idx])
     q, cache = net.forward_batch(batch)
     actions = buffer.action[idx]
-    taken = q[np.arange(len(idx)), actions]
-    err = taken - targets
+    err = q[rows, actions] - targets
     loss = float(np.mean(err**2))
     d_q = np.zeros_like(q)
-    d_q[np.arange(len(idx)), actions] = 2.0 * err / len(idx)
+    d_q[rows, actions] = 2.0 * err / len(idx)
     optimizer.step(net.flat, net.backward_batch(cache, d_q))
     return loss

@@ -76,17 +76,22 @@ class ReliabilityConfig:
         # gaussian_condition's precision reaches 1/prior_var + max_actions/noise_var
         # and weighs a truth within 10 prior sd of the prior mean and observations
         # within 10 noise sd of the truth: that reach times it must be finite
+        reach = {}
         for noise, belief, mean, var, noise_var in (
                 ("measurement_noise_var", "defect", self.prior_defect_mean,
                  self.prior_defect_var, self.measurement_noise_var),
                 ("lab_noise_var", "discrepancy", self.prior_discrepancy_mean,
                  self.prior_discrepancy_var, self.lab_noise_var)):
+            reach[belief] = abs(mean) + 10.0 * (math.sqrt(var) + math.sqrt(noise_var))
             if var != 0.0:  # a point-mass belief is never updated
                 require_finite(
                     lambda: (1.0 / var + self.max_actions / noise_var)
-                    * max(abs(mean) + 10.0 * (math.sqrt(var) + math.sqrt(noise_var)), 1.0),
+                    * max(reach[belief], 1.0),
                     f"{noise} too small for the {belief} prior: "
                     "max_actions updates would leave the float range")
+        # a draw's p_f margin mu_m + gamma d stays within the beliefs' reaches
+        require_finite(lambda: reach["discrepancy"] + abs(self.gamma) * reach["defect"],
+                       "the p_f margin mu_m + gamma * d would leave the float range")
 
     def candidate_pool(self) -> np.ndarray:
         """Fixed design-candidate grid in [-1, 1]^input_dim."""
@@ -185,6 +190,7 @@ class ReliabilityState:
         return self.outcome is not None
 
 
+@np.errstate(over="ignore")  # past the float range a ratio's ndtr is exactly 0 or 1
 def _pf(margins, scales):
     """Phi(-margin / scale) elementwise; where a scale is 0 (no spread in beta
     and sigma_a 0) its limit as the scale falls to 0: 0 for a margin above 0,

@@ -145,15 +145,6 @@ class DeepSetsNet:
     def parameters(self) -> dict:
         return self.named(self.flat)
 
-    def copy(self) -> "DeepSetsNet":
-        clone = DeepSetsNet(
-            self.element_dim, self.aux_dim, self.output_dim,
-            phi_hidden=self.phi.sizes[1:-1], latent_dim=self.latent_dim,
-            rho_hidden=self.rho.sizes[1:-1],
-        )
-        clone.flat[...] = self.flat
-        return clone
-
     def load_parameters(self, params: dict) -> None:
         own = self.parameters()
         if set(own) != set(params):

@@ -61,6 +61,16 @@ class TestTrain:
         train_tiny(tmp_path, name="learns", episodes=20, extra=("--config", str(config)))
         assert capsys.readouterr().err == ""
 
+    def test_no_gradient_step_warning_names_train_every(self, tmp_path, capsys):
+        # 200 episodes fill the replay past 500, but no step is a multiple of 100000
+        config = tmp_path / "sparse.json"
+        config.write_text(json.dumps({"train": {"train_every": 100_000}}))
+        train_tiny(tmp_path, episodes=200, extra=("--config", str(config)))
+        assert capsys.readouterr().err == (
+            "warning: no gradient step taken; learning starts once the replay holds "
+            "max(warmup, batch_size) = 500 transitions, and then steps at each "
+            "multiple of train_every = 100000 environment steps\n")
+
     def test_reliability_round_trip(self, tmp_path):
         out = train_tiny(tmp_path, env="reliability", episodes=3)
         eval_out = tmp_path / "eval"

@@ -6,7 +6,7 @@ import pytest
 from pdtwin.config import load_run_config
 from pdtwin.dqn import (
     DivergenceDetected, NoLegalAction, QPolicy, ReplayBuffer,
-    TrainConfig, epsilon_greedy, td_target, train,
+    TrainConfig, epsilon_greedy, masked_argmax, td_target, train,
 )
 from pdtwin.envs.component import CoinConfig, CoinState, ComponentEnv
 from pdtwin.mdp import Environment, StateEncoding, evaluate_policy
@@ -172,14 +172,25 @@ class TestEpsilonGreedy:
         assert batched.tolist() == rows
 
 
+def bootstrap(rewards, dones, target_q, chooser_q, masks, discount):
+    """The targets a training update assembles: the chooser's best legal next
+    action, valued by the target network."""
+    best = masked_argmax(chooser_q, masks)
+    return td_target(rewards, dones, target_q[np.arange(len(rewards)), best], discount)
+
+
 class TestTdTarget:
     def test_terminal_is_reward(self):
-        assert td_target(3.0, True, np.array([100.0]), np.array([True]), 1.0) == 3.0
+        # a terminal transition never reads its next value
+        targets = td_target(np.array([3.0]), np.array([True]), np.array([np.nan]), 1.0)
+        assert targets.tolist() == [3.0]
 
     def test_bootstraps_best_legal(self):
-        next_q = np.array([5.0, 9.0, 7.0])
-        mask = np.array([True, False, True])
-        assert td_target(1.0, False, next_q, mask, 0.5) == pytest.approx(4.5)
+        target_q = np.array([[5.0, 9.0, 7.0]])
+        mask = np.array([[True, False, True]])
+        targets = bootstrap(
+            np.array([1.0]), np.array([False]), target_q, target_q, mask, 0.5)
+        assert targets.tolist() == [4.5]
 
     @pytest.mark.parametrize("double", [False, True])
     def test_batch_equals_per_row_loop(self, double):
@@ -192,20 +203,24 @@ class TestTdTarget:
         online_q = rng.standard_normal((n, actions))
         mask = rng.random((n, actions)) < 0.6
         mask[np.arange(n), rng.integers(actions, size=n)] = True
+        mask[dones & (rng.random(n) < 0.5)] = False  # terminal states with no action
+        chooser = online_q if double else target_q
+        chooser[:20, 1:3] = 5.0  # two legal actions tie for the row's best
+        mask[:20, 1:3] = True
+        assert (masked_argmax(chooser, mask) != chooser.argmax(axis=1)).any()
+
         expected = np.empty(n)
         for i in range(n):  # reference: one transition at a time
             if dones[i]:
                 expected[i] = rewards[i]
-            elif double:
-                best = int(np.argmax(np.where(mask[i], online_q[i], -np.inf)))
-                expected[i] = rewards[i] + discount * target_q[i][best]
-            else:
-                expected[i] = td_target(
-                    rewards[i], False, target_q[i], mask[i], discount)
-        if double:
-            best = np.argmax(np.where(mask, online_q, -np.inf), axis=1)
-            mask = np.arange(actions) == best[:, None]
-        batched = td_target(rewards, dones, target_q, mask, discount)
+                continue
+            legal = np.flatnonzero(mask[i])
+            top = max(chooser[i, a] for a in legal)
+            best = min(a for a in legal if chooser[i, a] == top)  # lowest-index tie
+            if not double:  # plain DQN bootstraps the best legal target value
+                assert target_q[i, best] == max(target_q[i, a] for a in legal)
+            expected[i] = rewards[i] + discount * target_q[i, best]
+        batched = bootstrap(rewards, dones, target_q, chooser, mask, discount)
         assert np.array_equal(batched, expected)
 
 

@@ -232,9 +232,11 @@ class TestPooling:
 
 
 class TestParameterHandling:
-    def test_copy_is_independent(self):
-        net = small_net()
-        clone = net.copy()
+    def test_one_seed_builds_equal_independent_nets(self):
+        # how training builds its target network beside the online one
+        net, clone = small_net(seed=3), small_net(seed=3)
+        assert net.flat.tobytes() == clone.flat.tobytes()
+        assert not np.shares_memory(net.flat, clone.flat)
         assert np.array_equal(
             net.forward([], np.zeros(1)), clone.forward([], np.zeros(1))
         )
@@ -266,7 +268,7 @@ class TestParameterHandling:
 
         net = small_net()
         check(net)
-        clone = net.copy()
+        clone = small_net()
         check(clone)
         assert not np.shares_memory(clone.flat, net.flat)
         clone.load_parameters({k: v + 1.0 for k, v in net.parameters().items()})

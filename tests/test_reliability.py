@@ -583,3 +583,44 @@ class TestNoiseVarianceBound:
         assert capsys.readouterr().err.startswith(
             f"error: invalid ReliabilityConfig: {name} too small")
         assert not out.exists()
+
+
+class TestPfMarginBound:
+    """The p_f margins mu_m + gamma d of the draws stay in the float range,
+    and a margin over its scale past the float range gives p_f exactly."""
+
+    @pytest.mark.parametrize("values", [
+        {"gamma": 1e308, "prior_defect_var": 1.0},
+        {"gamma": 1e300, "prior_defect_mean": 1e10},
+        {"gamma": 1e308, "prior_defect_var": 1.0, "prior_beta_mean": 1e200},
+        {"prior_discrepancy_mean": 1.7e308, "prior_discrepancy_var": 0.0,
+         "prior_defect_mean": 1.7e308, "prior_defect_var": 0.0},  # an overflowing sum
+    ])
+    def test_margin_past_the_float_range_is_usage_error(self, tmp_path, capsys, values):
+        config = tmp_path / "margin.json"
+        config.write_text(json.dumps({"env": {"reliability": values}}))
+        out = tmp_path / "o"
+        assert main(["compare", "--env", "reliability", "--episodes", "20",
+                     "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: invalid ReliabilityConfig: the p_f margin mu_m + gamma * d")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("values", [
+        {"gamma": 1e307},  # margins near 4.5e307 at the default priors
+        # margins near 1e160 over scales of 1e-150
+        {"prior_discrepancy_mean": 1e160, "sigma_a": 1e-150,
+         "prior_beta_mean": 0.0, "prior_beta_var": 0.0},
+    ])
+    def test_legal_extremes_compare_without_warning(self, tmp_path, values):
+        config = tmp_path / "extreme.json"
+        config.write_text(json.dumps({"env": {"reliability": values}}))
+        assert main(["compare", "--env", "reliability", "--episodes", "20",
+                     "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_ratio_past_the_float_range_is_exact(self):
+        margins = np.array([1e160, -1e160, 1e160, -1e160, 1.0])
+        for scales in (np.full(5, 1e-150), np.array([1e-150, 1e-150, 0.0, 0.0, 1e-150])):
+            assert _pf(margins, scales).tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]

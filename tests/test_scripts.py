@@ -59,7 +59,8 @@ def test_output_check_finds_a_tree_identical_to_itself(tmp_path, capsys):
                      "horizon0_oracle/oracle_table.csv",
                      "horizon0_oracle_constrained/oracle_table.csv",
                      "reliability_snapshots/checkpoint.npz",
-                     "component_small_ring/checkpoint.npz"):
+                     "component_small_ring/checkpoint.npz",
+                     "component_constrained_double/checkpoint.npz"):
             assert (tmp_path / side / path).is_file()
     # the snapshot run trains at seed 1; eval's --seed 7 reaches the config,
     # compare's does not
