@@ -76,13 +76,14 @@ class ReplayBuffer:
     """Fixed-capacity ring of transitions with uniform batch sampling.
 
     Row i of every column holds transition i; the two object columns hold
-    references to the environment's read-only set arrays.
+    references to the environment's read-only set arrays, two int columns their sizes.
     """
 
     def __init__(self, capacity: int, aux_dim: int, action_count: int):
         self.capacity = capacity
         self.sets = np.empty(capacity, dtype=object)
         self.next_sets = np.empty(capacity, dtype=object)
+        self.counts, self.next_counts = np.empty((2, capacity), dtype=np.int64)
         self.aux = np.empty((capacity, aux_dim))
         self.next_aux = np.empty((capacity, aux_dim))
         self.action = np.empty(capacity, dtype=np.int64)
@@ -95,6 +96,7 @@ class ReplayBuffer:
              next_enc: StateEncoding, done: bool, next_mask: np.ndarray) -> None:
         i = self._cursor
         self.sets[i], self.next_sets[i] = enc.elements, next_enc.elements
+        self.counts[i], self.next_counts[i] = len(enc.elements), len(next_enc.elements)
         self.aux[i], self.next_aux[i] = enc.aux, next_enc.aux
         self.action[i], self.reward[i], self.done[i] = action, reward, done
         self.next_mask[i] = next_mask
@@ -236,22 +238,24 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
 @np.errstate(over="ignore", invalid="ignore")  # train checks the loss it returns
 def _update(net, target, optimizer, buffer, config, rng) -> float:
     idx = buffer.sample(config.batch_size, rng)
-    next_batch = SetBatch(buffer.next_sets[idx], buffer.next_aux[idx])
-    target_q, _ = target.forward_batch(next_batch)
+    now = (buffer.sets[idx], buffer.aux[idx], buffer.counts[idx])
+    nxt = (buffer.next_sets[idx], buffer.next_aux[idx], buffer.next_counts[idx])
+    target_q = target.forward_batch(SetBatch(*nxt))[0]  # its cache is freed at once
+    if config.double_dqn:  # one online pass: the current sets, then the next ones
+        now = [np.concatenate(pair) for pair in zip(now, nxt)]
+    q, cache = net.forward_batch(SetBatch(*now))
     # the target net values the next action; under double DQN the online net chooses it
-    chooser = net.forward_batch(next_batch)[0] if config.double_dqn else target_q
+    chooser = q[len(idx):] if config.double_dqn else target_q
     best = masked_argmax(chooser, buffer.next_mask[idx])
     rows = np.arange(len(idx))
     targets = td_target(
         buffer.reward[idx], buffer.done[idx], target_q[rows, best], config.discount
     )
 
-    batch = SetBatch(buffer.sets[idx], buffer.aux[idx])
-    q, cache = net.forward_batch(batch)
     actions = buffer.action[idx]
     err = q[rows, actions] - targets
     loss = float(np.mean(err**2))
-    d_q = np.zeros_like(q)
+    d_q = np.zeros_like(target_q)  # the current sets' rows alone
     d_q[rows, actions] = 2.0 * err / len(idx)
     optimizer.step(net.flat, net.backward_batch(cache, d_q))
     return loss

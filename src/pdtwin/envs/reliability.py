@@ -229,7 +229,8 @@ def _pf_margins(
 def _pf_stats(margins: np.ndarray, scales: np.ndarray) -> tuple:
     """(E[p_f], Std(p_f)) over the draws of p_f = Phi(-margin / scale)."""
     pf = _pf(margins, scales)
-    return float(pf.mean()), float(pf.std(ddof=1))  # n_mc >= 2
+    mean = np.add.reduce(pf) / len(pf)  # pf.mean() and pf.std(ddof=1), op for op
+    return float(mean), float(np.sqrt(np.add.reduce((pf - mean) ** 2) / (len(pf) - 1)))
 
 
 def estimate_pf_stats(
@@ -419,7 +420,7 @@ class ReliabilityEnv(Environment):
 
         def scaled(value):
             ratio = max(value, 1e-12) / target
-            return float(np.clip(np.log10(ratio), -3.0, 3.0) / 3.0)
+            return float(min(max(np.log10(ratio), -3.0), 3.0) / 3.0)
 
         return scaled(mean + 2.0 * sd), scaled(mean - 2.0 * sd)
 

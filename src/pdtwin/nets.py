@@ -52,7 +52,7 @@ class Mlp:
         self.weights, self.biases = views[0::2], views[1::2]
 
     def forward(self, x: np.ndarray):
-        """Batched forward pass; returns (output, cache for backward)."""
+        """Batched forward pass; returns (output, cache: each layer's input)."""
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
             raise DimensionMismatch(
                 f"expected input of shape (B, {self.sizes[0]}), got {x.shape}"
@@ -64,20 +64,19 @@ class Mlp:
             h += self.biases[i]
             if i < self.n_layers - 1:
                 np.maximum(h, 0.0, out=h)
-            activations.append(h)
+                activations.append(h)
         return h, activations
 
     def backward(self, activations, d_out: np.ndarray, grad: np.ndarray):
         """Write the gradients of sum(loss), given d(loss)/d(output), into
-        ``grad`` (laid out like ``flat``); returns d(loss)/d(input)."""
+        ``grad`` (laid out like ``flat``); returns d(loss)/d(x @ w0 + b0)."""
         grads = self.views(grad)
         delta = d_out
         for i in reversed(range(self.n_layers)):
             if i < self.n_layers - 1:
-                delta = delta * (activations[i + 1] > 0.0)
+                delta = (delta @ self.weights[i + 1].T) * (activations[i + 1] > 0.0)
             np.matmul(activations[i].T, delta, out=grads[2 * i])
             delta.sum(axis=0, out=grads[2 * i + 1])
-            delta = delta @ self.weights[i].T
         return delta
 
 
@@ -94,12 +93,13 @@ def canonical_set(elements, element_dim: int) -> np.ndarray:
 
 @dataclass
 class SetBatch:
-    """The states ``forward_batch`` takes: a sequence (a list or an object
-    array) of one canonical (k, element_dim) set per state, and their aux
-    vectors as one (B, aux_dim) array. Iterates as (elements, aux) pairs."""
+    """The states ``forward_batch`` takes: one canonical (k, element_dim) set
+    per state (a list or an object array), their aux vectors as one (B, aux_dim)
+    array and each set's k as an int array (None: measured). Iterates as (elements, aux)."""
 
     sets: list | np.ndarray
     aux: np.ndarray
+    counts: np.ndarray | None = None
 
     def __iter__(self):
         return zip(self.sets, self.aux)
@@ -129,6 +129,7 @@ class DeepSetsNet:
         self.flat = np.concatenate([self.phi.flat, self.rho.flat])
         self.phi.bind(self.flat[: self.phi.size])
         self.rho.bind(self.flat[self.phi.size:])
+        self._slots = np.empty(0)  # forward_batch's pooling block, reused (README)
 
     # parameter bookkeeping ------------------------------------------------
 
@@ -173,8 +174,8 @@ class DeepSetsNet:
         ``canonical_set``): summing the rows of every set in one fixed order
         is what makes the pooled sum bit-exactly permutation invariant.
         """
-        counts = [len(e) for e in batch.sets]
-        size, k_max = len(counts), max(counts)
+        counts = np.array([len(e) for e in batch.sets]) if batch.counts is None else batch.counts
+        size, k_max = len(counts), counts.max()
         phi_cache = None
         if k_max:
             phi_out, phi_cache = self.phi.forward(np.concatenate(batch.sets))
@@ -184,8 +185,11 @@ class DeepSetsNet:
             # 0 + row 1 + row 2 + ..., bit for bit a sequential add from zero.
             # It would sum a lone 1-wide column pairwise; a second column
             # prevents that.
-            padded = np.zeros((1 + k_max, max(size, 2), self.latent_dim))
-            filled = np.arange(k_max) < np.array(counts)[:, None]
+            if self._slots.size < (cells := (1 + k_max) * max(size, 2) * self.latent_dim):
+                self._slots = np.empty(cells)
+            padded = self._slots[:cells].reshape(1 + k_max, -1, self.latent_dim)
+            padded[...] = 0.0
+            filled = np.arange(k_max) < counts[:, None]
             padded[1:, :size].transpose(1, 0, 2)[filled] = phi_out
             pooled = padded.sum(axis=0)[:size]
         else:
@@ -195,15 +199,18 @@ class DeepSetsNet:
         return q, (counts, phi_cache, rho_cache)
 
     def backward_batch(self, cache, d_q: np.ndarray) -> np.ndarray:
-        """Gradient of sum(d_q * Q) as one vector laid out like ``flat``."""
+        """Gradient of sum(d_q * Q) as one vector laid out like ``flat``; an
+        n-row ``d_q`` takes the first n states' slice of the cache alone."""
         counts, phi_cache, rho_cache = cache
+        n, n_phi = len(d_q), self.phi.size
         grad = np.empty_like(self.flat)
-        n_phi = self.phi.size
-        d_rho_in = self.rho.backward(rho_cache, d_q, grad[n_phi:])
+        d_rho_out = self.rho.backward([a[:n] for a in rho_cache], d_q, grad[n_phi:])
         if phi_cache is None:
             grad[:n_phi] = 0.0
         else:
-            d_phi_out = np.repeat(d_rho_in[:, : self.latent_dim], counts, axis=0)
+            d_rho_in = d_rho_out @ self.rho.weights[0].T
+            d_phi_out = np.repeat(d_rho_in[:, : self.latent_dim], counts[:n], axis=0)
+            phi_cache = [a[: len(d_phi_out)] for a in phi_cache]
             self.phi.backward(phi_cache, d_phi_out, grad[:n_phi])
         return grad
 
@@ -224,9 +231,11 @@ class Adam:
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        m, v = self.m, self.v
-        m[...] = self.beta1 * m + (1 - self.beta1) * grad
-        v[...] = self.beta2 * v + (1 - self.beta2) * grad * grad
+        m, v = self.m, self.v  # in place: b1 m + (1 - b1) g, b2 v + (1 - b2) g g
+        m *= self.beta1
+        m += (1 - self.beta1) * grad
+        v *= self.beta2
+        v += (1 - self.beta2) * grad * grad
         m_hat = m / (1 - self.beta1**self.t)
         v_hat = v / (1 - self.beta2**self.t)
         params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -6,11 +6,12 @@ import pytest
 from pdtwin.config import load_run_config
 from pdtwin.dqn import (
     DivergenceDetected, NoLegalAction, QPolicy, ReplayBuffer,
-    TrainConfig, epsilon_greedy, masked_argmax, td_target, train,
+    TrainConfig, _update, epsilon_greedy, masked_argmax, td_target, train,
 )
 from pdtwin.envs.component import CoinConfig, CoinState, ComponentEnv
+from pdtwin.envs.reliability import ReliabilityEnv
 from pdtwin.mdp import Environment, StateEncoding, evaluate_policy
-from pdtwin.nets import DeepSetsNet
+from pdtwin.nets import Adam, DeepSetsNet, SetBatch
 from pdtwin.oracle import TabularState, backward_induction, policy_value
 
 
@@ -90,6 +91,7 @@ class TestReplayBuffer:
         for row in idx:
             i = int(buf.aux[row, 0])
             assert np.array_equal(buf.sets[row], np.full((i % 3, 2), float(i)))
+            assert buf.counts[row] == i % 3 and buf.next_counts[row] == 1
             assert np.array_equal(buf.aux[row], [i, 0.5])
             assert buf.action[row] == i % 3
             assert buf.reward[row] == 10.0 * i
@@ -335,6 +337,105 @@ class TestTraining:
         assert result.episode_returns == [0.0] * 4
         assert all(np.isnan(v) for v in result.loss_moving_average)
         assert result.snapshot_scores == [(2, 0.0), (4, 0.0)]
+
+
+def three_pass_update(net, target, optimizer, buffer, config, rng) -> float:
+    """Reference for ``_update``: the online net runs once over the next sets
+    (under double DQN) and once more over the current sets."""
+    idx = buffer.sample(config.batch_size, rng)
+    next_batch = SetBatch(buffer.next_sets[idx], buffer.next_aux[idx])
+    target_q, _ = target.forward_batch(next_batch)
+    chooser = net.forward_batch(next_batch)[0] if config.double_dqn else target_q
+    best = masked_argmax(chooser, buffer.next_mask[idx])
+    rows = np.arange(len(idx))
+    targets = td_target(
+        buffer.reward[idx], buffer.done[idx], target_q[rows, best], config.discount
+    )
+    q, cache = net.forward_batch(SetBatch(buffer.sets[idx], buffer.aux[idx]))
+    actions = buffer.action[idx]
+    err = q[rows, actions] - targets
+    loss = float(np.mean(err**2))
+    d_q = np.zeros_like(q)
+    d_q[rows, actions] = 2.0 * err / len(idx)
+    optimizer.step(net.flat, net.backward_batch(cache, d_q))
+    return loss
+
+
+def filled_replay(env, config, size, first_steps_only=False):
+    """A replay of ``size`` transitions from uniformly random legal actions;
+    with ``first_steps_only``, each episode's first transition alone."""
+    buffer = ReplayBuffer(size, env.aux_dim, env.action_count)
+    rng = np.random.default_rng(config.seed)
+    while len(buffer) < size:
+        state = env.reset(rng)
+        enc, mask = env.encode(state), env.action_mask(state)
+        while not state.done and len(buffer) < size:
+            action = int(rng.choice(np.flatnonzero(mask)))
+            state, reward = env.step(state, action, rng)
+            next_enc, next_mask = env.encode(state), env.action_mask(state)
+            buffer.push(enc, action, reward / config.reward_scale, next_enc,
+                        state.done, next_mask)
+            enc, mask = next_enc, next_mask
+            if first_steps_only:
+                break
+    return buffer
+
+
+def run_updates(update, env, config, buffer, count=20):
+    """Losses and final parameters of ``count`` updates from fresh nets."""
+    net, target = (DeepSetsNet(env.element_dim, env.aux_dim, env.action_count,
+                               seed=config.seed + k) for k in range(2))
+    optimizer = Adam(net.flat.size, learning_rate=config.learning_rate)
+    rng = np.random.default_rng(11)
+    losses = [update(net, target, optimizer, buffer, config, rng) for _ in range(count)]
+    return losses, net.flat
+
+
+def reliability_setup():
+    run_config = load_run_config(None, "reliability")
+    return ReliabilityEnv(run_config.reliability), run_config.train
+
+
+def constrained_set_setup():
+    run_config = load_run_config(None, "component", constrained=True)
+    config = dataclasses.replace(run_config.train, double_dqn=True)
+    return ComponentEnv(run_config.component, encoding="set"), config
+
+
+class TestJointOnlinePass:
+    # _update runs the online net once over the current sets followed by the
+    # next ones; it must give the bits of one pass per half
+    @pytest.mark.parametrize("setup, first_steps_only", [
+        (reliability_setup, False), (constrained_set_setup, False),
+        (reliability_setup, True), (constrained_set_setup, True),
+    ], ids=["reliability", "constrained-set", "reliability-empty-current",
+            "constrained-set-empty-current"])
+    def test_bit_equal_to_one_pass_per_half(self, setup, first_steps_only):
+        env, config = setup()
+        assert config.double_dqn and config.batch_size == 64
+        buffer = filled_replay(env, config, 300, first_steps_only)
+        if first_steps_only:  # no set row in the current half, some in the next
+            assert not buffer.counts.any() and buffer.next_counts.any()
+        expected_losses, expected_flat = run_updates(three_pass_update, env, config, buffer)
+        losses, flat = run_updates(_update, env, config, buffer)
+        assert losses == expected_losses
+        assert np.array_equal(flat, expected_flat)
+
+    @pytest.mark.parametrize("double", [False, True])
+    def test_two_forward_batch_calls_per_update(self, double, monkeypatch):
+        env, config = constrained_set_setup()
+        config = dataclasses.replace(config, double_dqn=double)
+        buffer = filled_replay(env, config, 100)
+        calls = []
+        forward_batch = DeepSetsNet.forward_batch
+
+        def counted(self, batch):
+            calls.append(len(batch.aux))
+            return forward_batch(self, batch)
+
+        monkeypatch.setattr(DeepSetsNet, "forward_batch", counted)
+        run_updates(_update, env, config, buffer, count=3)
+        assert calls == [64, 128 if double else 64] * 3
 
 
 class TestQPolicy:

@@ -60,7 +60,7 @@ class TestMlp:
         out, cache = mlp.forward(x)
         d_out = rng.standard_normal(out.shape)
         grad = np.empty(mlp.size)
-        d_x = mlp.backward(cache, d_out, grad)
+        d_x = mlp.backward(cache, d_out, grad) @ mlp.weights[0].T
         grads_w, grads_b = mlp.views(grad)[0::2], mlp.views(grad)[1::2]
 
         def loss():
@@ -229,6 +229,16 @@ class TestPooling:
             rows, _ = net.phi.forward(np.concatenate(sets))
             np.add.at(expected, np.repeat(np.arange(len(sets)), counts), rows)
         assert np.array_equal(pooled, expected)
+
+    def test_kept_block_pools_like_a_fresh_one(self):
+        # a net keeps its pooling block between calls; after a larger batch
+        # has filled it, a smaller one must pool as a net that never pooled
+        rng = np.random.default_rng(5)
+        net = small_net(seed=4)
+        for count in (12, 2, 7, 1, 12, 3):
+            batch = random_batch(rng, count)
+            q, _ = net.forward_batch(batch)
+            assert np.array_equal(q, small_net(seed=4).forward_batch(batch)[0])
 
 
 class TestParameterHandling:

@@ -13,9 +13,10 @@ from pdtwin.cli import main
 from pdtwin.envs.reliability import (
     CONFIRMED_ABOVE, CONFIRMED_BELOW, FAILED, FE, LAB, MEASUREMENT, UNDECIDED,
     CrnNormals, ReliabilityConfig, ReliabilityEnv, SurrogatePosterior,
-    _pf, benchmark_policy_action, check_objective, estimate_pf_stats,
+    _pf, _pf_stats, benchmark_policy_action, check_objective, estimate_pf_stats,
     select_fe_input,
 )
+from pdtwin.envs import reliability
 from pdtwin.mdp import (
     FunctionPolicy, RandomPolicy, StepAfterDone, evaluate_policy, run_episode,
 )
@@ -189,6 +190,48 @@ class TestEstimatePfStats:
         pf = (normals.discrepancy < 0.0).astype(float)
         assert 0.0 < pf.mean() < 1.0
         assert stats == (pf.mean(), pf.std(ddof=1))
+
+
+def pf_vectors():
+    """p_f draw vectors: 2, 3 and 512 draws, all-equal draws, draws near 0 and
+    near 1, and scales from 1e-300 to 1."""
+    rng = np.random.default_rng(29)
+    for n in (2, 3, 512):
+        yield np.full(n, 0.25)
+        yield np.full(n, 1e-300)
+        yield 1.0 - rng.random(n) * 1e-12  # near 1
+        yield rng.random(n) * 1e-17  # near 0
+        for scale in 10.0 ** np.arange(-300.0, 1.0, 10.0):
+            yield rng.random(n) * scale
+            yield rng.lognormal(0.0, 3.0, n) / np.exp(12.0) * scale
+
+
+class TestPfStatsTrim:
+    # _pf_stats reduces with np.add.reduce; it must keep the bits of numpy's
+    # mean and std(ddof=1)
+    def test_bit_equal_to_numpy_mean_and_std(self, monkeypatch):
+        monkeypatch.setattr(reliability, "_pf", lambda margins, scales: margins)
+        for pf in pf_vectors():
+            assert _pf_stats(pf, None) == (float(pf.mean()), float(pf.std(ddof=1)))
+
+    def test_objective_margins_bit_equal_to_clip(self):
+        # intervals whose lower end is at or below 0, ratios beyond +-3
+        # decades and the clip ends themselves, at two targets
+        rng = np.random.default_rng(31)
+        means = [0.0, 1e-300, 1e-15, 1e-9, 1e-6, 1e-3, 0.999e-3, 0.3, 1.0]
+        means += list(10.0 ** rng.uniform(-16.0, 0.0, 60))
+        for target in (1e-3, 1e-7):
+            env = ReliabilityEnv(dataclasses.replace(CONFIG, target=target))
+
+            def clipped(value):
+                ratio = max(value, 1e-12) / target
+                return float(np.clip(np.log10(ratio), -3.0, 3.0) / 3.0)
+
+            for mean in means:
+                for sd in (0.0, mean / 2.0, mean / 1.999, mean, 1e3 * target, 0.5):
+                    state = dataclasses.replace(fresh_state(), pf_stats=(mean, sd))
+                    expected = (clipped(mean + 2.0 * sd), clipped(mean - 2.0 * sd))
+                    assert env.objective_margins(state) == expected
 
 
 class TestCheckObjective:
