@@ -1,38 +1,16 @@
 """Check that two source trees write byte-identical outputs.
 
-Runs both experiment scripts of this checkout, then a horizon-0 ``eval`` and
-``compare`` at ``--seed 7`` (``eval``'s seed reaches the resolved config's
-``train.seed``, ``compare``'s does not), ``oracle`` and ``oracle
---constrained`` on the component game (the only oracle table whose start
-state has no action), a reliability ``train`` at ``--seed 1`` that scores
-a validation snapshot every 40 episodes, a set-encoded component ``train``
-at ``--seed 2`` with a 600-slot replay ring and a constrained component
-``train`` at ``--seed 1`` with double DQN, once with ``--parent``'s pdtwin
-and once with this checkout's, and compares the two output trees file by
-file.
-Every output is byte-reproducible from its command line, so any difference
-is a change in behaviour. Prints the files that differ and exits 1 if any do.
-Without ``--out`` both trees go to a new temporary directory, which is
-removed when they are identical and kept, and named, when they differ.
+Makes every run in ``RUNS``, once with ``--parent``'s pdtwin and once with this
+checkout's, and compares the two output trees file by file. Every output is
+byte-reproducible from its command line, so any difference is a change in
+behaviour. Prints the files that differ and exits 1 if any do. Without
+``--out`` both trees go to a new temporary directory, which is removed when
+they are identical and kept, and named, when they differ.
 
     python3 scripts/check_outputs_identical.py --parent ../parent/src
 
-The sizes are those of the README recipe: 300 component and 120 reliability
-training episodes, 1000 component and 200 reliability evaluation episodes.
-The experiment script's reliability run scores one validation snapshot, at
-its last episode. The extra run scores three and keeps the best, which at
-seed 1 is the second (-135.47, -50.02 and -70.08 after episodes 40, 80 and
-120), so a change that returned the final network would alter its
-checkpoint. The ring run trains for the component training size; at 300
-episodes it pushes 2362 transitions, so its ring wraps about four times,
-where the default 50,000-slot ring of every other run never fills. The
-constrained double-DQN run is the one where the online network chooses the
-bootstrap action under a mask that binds (the reliability game masks no
-action, and every other component run is plain DQN). At the component
-training size learning starts at episode 111, and in the 1632 updates after
-that the mask changes the online network's choice in 86,968 of the sampled
-rows; at seed 0 it changes none, since that policy never wants a barred Use.
-``--episodes N`` sets all four sizes to N for a smoke run.
+``--episodes N`` runs every training and evaluation at N episodes instead of
+``SIZES``, for a smoke run.
 """
 
 import argparse
@@ -46,13 +24,49 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = ROOT / "scripts"
-HORIZON_ZERO = {"env": {"component": {"horizon": 0}}}
-SNAPSHOTS = {"train": {"snapshot_every": 40}}
-SMALL_RING = {"train": {"replay_capacity": 600}}
-DOUBLE_DQN = {"train": {"double_dqn": True}}
+# the README recipe's training and evaluation episodes
 SIZES = {"component_train": 300, "reliability_train": 120,
          "component_eval": 1000, "reliability_eval": 200}
+# Every run the check makes, in order: (output directory, config written beside
+# it as <directory>.json or None, argv after python3), under a comment naming
+# the path that only this run reaches. A run is given --out and its --config;
+# in argv, {tree} is the side's output tree and the other names are SIZES'.
+# A row added here is written and compared, and the self-test requires it.
+RUNS = (
+    # every component command at its defaults: both encodings, constrained, oracle
+    ("component", None,
+     "scripts/run_component_experiment.py --episodes {component_train} "
+     "--eval-episodes {component_eval}"),
+    # every reliability command at its defaults, through double DQN's joint pass
+    ("reliability", None,
+     "scripts/run_reliability_experiment.py --episodes {reliability_train} "
+     "--eval-episodes {reliability_eval}"),
+    # horizon 0, and eval's --seed reaching the resolved config's train.seed
+    ("horizon0_eval", {"env": {"component": {"horizon": 0}}},
+     "-m pdtwin.cli eval --env component --seed 7 --episodes {component_eval} "
+     "--checkpoint {tree}/component/train_compressed/checkpoint.npz"),
+    # compare's --seed, which does not reach train.seed
+    ("horizon0_compare", {"env": {"component": {"horizon": 0}}},
+     "-m pdtwin.cli compare --env component --seed 7 --episodes {component_eval} "
+     "--checkpoint {tree}/component/train_compressed/checkpoint.npz"),
+    # an oracle table whose start state has no action
+    ("horizon0_oracle", {"env": {"component": {"horizon": 0}}},
+     "-m pdtwin.cli oracle"),
+    # the same under the constraint
+    ("horizon0_oracle_constrained", {"env": {"component": {"horizon": 0}}},
+     "-m pdtwin.cli oracle --constrained"),
+    # a best snapshot that is not the last (-135.47, -50.02, -70.08 at 40, 80, 120)
+    ("reliability_snapshots", {"train": {"snapshot_every": 40}},
+     "-m pdtwin.cli train --env reliability --seed 1 --episodes {reliability_train}"),
+    # a replay ring that wraps (2362 pushes into 600 slots at 300 episodes)
+    ("component_small_ring", {"train": {"replay_capacity": 600}},
+     "-m pdtwin.cli train --env component --encoding set --seed 2 "
+     "--episodes {component_train}"),
+    # double DQN's bootstrap choice under a mask that binds (86,968 sampled rows)
+    ("component_constrained_double", {"train": {"double_dqn": True}},
+     "-m pdtwin.cli train --env component --constrained --seed 1 "
+     "--episodes {component_train}"),
+)
 
 
 def run(src: Path, argv: list) -> None:
@@ -65,49 +79,27 @@ def run(src: Path, argv: list) -> None:
         sys.exit(f"{' '.join(argv)} with {src} exited {proc.returncode}")
 
 
-def imported_from(src: Path) -> Path:
+def imported_from(src: Path) -> Path | None:
+    """Where pdtwin imports from with only ``src`` on the path; None if it does not."""
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c", "import pdtwin.cli; print(pdtwin.cli.__file__)"],
-        env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+        env=env, cwd=ROOT, capture_output=True, text=True)
+    if out.returncode != 0:
+        return None
     return Path(out.stdout.strip()).resolve().parent.parent
 
 
 def write_outputs(src: Path, out: Path, sizes: dict) -> None:
-    """Every output this check compares, written with ``src``'s pdtwin."""
-    component, reliability = out / "component", out / "reliability"
-    run(src, [str(SCRIPTS / "run_component_experiment.py"),
-              "--episodes", str(sizes["component_train"]),
-              "--eval-episodes", str(sizes["component_eval"]), "--out", str(component)])
-    run(src, [str(SCRIPTS / "run_reliability_experiment.py"),
-              "--episodes", str(sizes["reliability_train"]),
-              "--eval-episodes", str(sizes["reliability_eval"]),
-              "--out", str(reliability)])
-    config = out / "horizon0.json"
-    config.write_text(json.dumps(HORIZON_ZERO) + "\n")
-    checkpoint = str(component / "train_compressed" / "checkpoint.npz")
-    common = ["--env", "component", "--config", str(config), "--seed", "7",
-              "--episodes", str(sizes["component_eval"]), "--checkpoint", checkpoint]
-    for command in ("eval", "compare"):
-        run(src, ["-m", "pdtwin.cli", command, *common,
-                  "--out", str(out / f"horizon0_{command}")])
-    for name, extra in (("oracle", []), ("oracle_constrained", ["--constrained"])):
-        run(src, ["-m", "pdtwin.cli", "oracle", *extra, "--config", str(config),
-                  "--out", str(out / f"horizon0_{name}")])
-    for name, settings, argv in (
-            ("reliability_snapshots", SNAPSHOTS,
-             ["--env", "reliability", "--seed", "1",
-              "--episodes", str(sizes["reliability_train"])]),
-            ("component_small_ring", SMALL_RING,
-             ["--env", "component", "--encoding", "set", "--seed", "2",
-              "--episodes", str(sizes["component_train"])]),
-            ("component_constrained_double", DOUBLE_DQN,
-             ["--env", "component", "--constrained", "--seed", "1",
-              "--episodes", str(sizes["component_train"])])):
-        config = out / f"{name}.json"
-        config.write_text(json.dumps(settings) + "\n")
-        run(src, ["-m", "pdtwin.cli", "train", *argv, "--config", str(config),
-                  "--out", str(out / name)])
+    """Every output of ``RUNS``, written under ``out`` with ``src``'s pdtwin."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, config, argv in RUNS:
+        flags = ["--out", str(out / name)]
+        if config is not None:
+            path = out / f"{name}.json"
+            path.write_text(json.dumps(config) + "\n")
+            flags += ["--config", str(path)]
+        run(src, [word.format(tree=out, **sizes) for word in argv.split()] + flags)
 
 
 def differences(a: Path, b: Path, where: Path = Path()) -> list:
@@ -130,15 +122,18 @@ def main(argv=None) -> int:
                              "directory)")
     parser.add_argument("--episodes", type=int, default=None,
                         help="run every training and evaluation at this many "
-                             "episodes (default: 300, 120, 1000 and 200)")
+                             "episodes (default: the script's SIZES)")
     args = parser.parse_args(argv)
+    if args.episodes is not None and args.episodes < 1:
+        parser.error("--episodes must be at least 1")
 
-    out = args.out or Path(tempfile.mkdtemp(prefix="pdtwin-outputs-"))
-    sizes = SIZES if args.episodes is None else dict.fromkeys(SIZES, args.episodes)
     sides = {"parent": args.parent.resolve(), "this": (ROOT / "src").resolve()}
-    for name, src in sides.items():
+    for src in sides.values():
         if imported_from(src) != src:
             sys.exit(f"pdtwin does not import from {src}")
+    out = args.out or Path(tempfile.mkdtemp(prefix="pdtwin-outputs-"))
+    sizes = SIZES if args.episodes is None else dict.fromkeys(SIZES, args.episodes)
+    for name, src in sides.items():
         write_outputs(src, out / name, sizes)
     found = differences(out / "parent", out / "this")
     for path in found:

@@ -529,23 +529,42 @@ class TestPfClosedForm:
         assert var == pytest.approx(weights @ pf**2 - (weights @ pf) ** 2, rel=1e-9)
         assert (round(mean, 7), round(var, 8)) == (0.0037262, 0.00019420)
 
+    def assert_average_to_the_exact_moments(self, states):
+        gaps = []
+        for state in states:
+            mean, var = exact_pf_moments(state, self.CONFIG)
+            stored_mean, stored_sd = state.pf_stats
+            gaps.append((stored_mean - mean, stored_sd**2 - var))
+        for column in np.array(gaps).T:  # E, then Std^2
+            se = column.std(ddof=1) / np.sqrt(len(column))
+            assert abs(column.mean()) <= 4.0 * se
+
     @pytest.mark.parametrize("actions", [(), (MEASUREMENT, LAB)],
                              ids=["reset", "measurement-lab"])
     def test_stored_stats_average_to_the_exact_moments(self, actions):
         env = ReliabilityEnv(self.CONFIG)
-        mean_gaps, var_gaps = [], []
+        states = []
         for seed in range(2000):
             rng = np.random.default_rng(seed)
             state = env.reset(rng)
             for action in actions:
                 state, _ = env.step(state, action, rng)
-            mean, var = exact_pf_moments(state, self.CONFIG)
-            stored_mean, stored_sd = state.pf_stats
-            mean_gaps.append(stored_mean - mean)
-            var_gaps.append(stored_sd**2 - var)
-        for gaps in (np.array(mean_gaps), np.array(var_gaps)):
-            se = gaps.std(ddof=1) / np.sqrt(len(gaps))
-            assert abs(gaps.mean()) <= 4.0 * se
+            states.append(state)
+        self.assert_average_to_the_exact_moments(states)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("policy", [
+        RandomPolicy(),
+        FunctionPolicy(lambda s: benchmark_policy_action(s.actions_taken)),
+    ], ids=["random", "benchmark"])
+    def test_final_states_average_to_the_exact_moments(self, policy):
+        # The final state is chosen by the stored estimate itself: the
+        # stopping rule ends an episode once its (E, Std) clears the target by
+        # two Std. So this also shows that this optional stopping biases
+        # nothing detectable at n = 2000.
+        env = ReliabilityEnv(self.CONFIG)
+        self.assert_average_to_the_exact_moments(
+            run_episode(env, policy, seed).states[-1] for seed in range(2000))
 
 
 class TestConfigValidation:

@@ -4,6 +4,7 @@ breaks one of their command lines fails here."""
 import csv
 import importlib.util
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -53,15 +54,9 @@ def test_output_check_finds_a_tree_identical_to_itself(tmp_path, capsys):
         "--parent", str(src), "--episodes", "2", "--out", str(tmp_path)])
     assert code == 0 and "identical" in capsys.readouterr().out
     for side in ("parent", "this"):
-        for path in ("component/compare/compare_table.csv",
-                     "reliability/eval/episodes.csv",
-                     "horizon0_eval/episodes.csv", "horizon0_compare/compare_table.csv",
-                     "horizon0_oracle/oracle_table.csv",
-                     "horizon0_oracle_constrained/oracle_table.csv",
-                     "reliability_snapshots/checkpoint.npz",
-                     "component_small_ring/checkpoint.npz",
-                     "component_constrained_double/checkpoint.npz"):
-            assert (tmp_path / side / path).is_file()
+        for name, _, _ in check.RUNS:  # every run wrote an output
+            written = (tmp_path / side / name).rglob("*")
+            assert any(path.is_file() for path in written), f"{side}/{name}"
     # the snapshot run trains at seed 1; eval's --seed 7 reaches the config,
     # compare's does not
     seeds = [json.loads((tmp_path / "this" / name / "resolved_config.json").read_text())
@@ -100,6 +95,32 @@ def test_output_check_removes_only_its_own_identical_tree(
         assert (made[0] / "parent" / "a.csv").is_file()
     else:
         assert made == [] and "identical" in printed
+
+
+def test_output_check_exits_on_a_parent_without_pdtwin(tmp_path, monkeypatch):
+    check = load_script("check_outputs_identical")
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    message = re.escape(f"pdtwin does not import from {empty.resolve()}")
+    with pytest.raises(SystemExit, match=message):
+        check.main(["--parent", str(empty)])
+    assert list(temp.iterdir()) == []
+
+
+@pytest.mark.parametrize("episodes", ["0", "-3"])
+def test_output_check_rejects_episodes_below_one(
+        tmp_path, monkeypatch, capsys, episodes):
+    check = load_script("check_outputs_identical")
+    monkeypatch.setattr(check, "imported_from", lambda src: src)
+    monkeypatch.setattr(check, "write_outputs", lambda *args: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exit_info:
+        check.main(["--parent", str(tmp_path), "--episodes", episodes,
+                    "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "--episodes must be at least 1" in capsys.readouterr().err
 
 
 def test_output_check_names_a_differing_file(tmp_path):
