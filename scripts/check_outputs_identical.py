@@ -66,6 +66,17 @@ RUNS = (
     ("component_constrained_double", {"train": {"double_dqn": True}},
      "-m pdtwin.cli train --env component --constrained --seed 1 "
      "--episodes {component_train}"),
+    # p_f scales of 0 in every draw, so _pf takes its zero-scale limit throughout
+    ("reliability_zero_scale",
+     {"env": {"reliability": {"prior_beta_mean": 0.0, "prior_beta_var": 0.0,
+                              "sigma_a": 0.0, "prior_discrepancy_mean": 0.0}}},
+     "-m pdtwin.cli compare --env reliability --episodes {reliability_eval} "
+     "--checkpoint {tree}/reliability/train/checkpoint.npz"),
+    # a verdict at reset: every episode ends confirmed before its first action
+    ("reliability_decided_at_reset",
+     {"env": {"reliability": {"prior_discrepancy_mean": 40.0}}},
+     "-m pdtwin.cli compare --env reliability --episodes {reliability_eval} "
+     "--checkpoint {tree}/reliability/train/checkpoint.npz"),
 )
 
 

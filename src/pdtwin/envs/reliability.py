@@ -17,7 +17,7 @@ predictive variance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -309,25 +309,21 @@ class ReliabilityEnv(Environment):
         surrogate = SurrogatePosterior.prior(cfg)
         defect = GaussianBelief(cfg.prior_defect_mean, cfg.prior_defect_var)
         discrepancy = GaussianBelief(cfg.prior_discrepancy_mean, cfg.prior_discrepancy_var)
-        margins = _pf_margins(defect, discrepancy, normals, cfg)
-        scales = _pf_scales(surrogate, normals, cfg)
-        stats = _pf_stats(margins, scales)
+        return self._state(
+            surrogate=surrogate, defect_belief=defect, discrepancy_belief=discrepancy,
+            fe_observations=_read_only(np.empty((0, self.element_dim))), actions_taken=0,
+            true_beta=_read_only(beta), true_defect=float(d), true_discrepancy=float(mu),
+            pool_variance=self._prior_pool_variance, crn_normals=normals,
+            pf_margins=_pf_margins(defect, discrepancy, normals, cfg),
+            pf_scales=_pf_scales(surrogate, normals, cfg))
+
+    def _state(self, *, pf_margins, pf_scales, actions_taken, **fields) -> ReliabilityState:
+        """The only constructor of a state: every field but (E, Std) and the
+        verdict, which are derived here from the p_f halves and the count."""
+        stats = _pf_stats(pf_margins, pf_scales)
         return ReliabilityState(
-            surrogate=surrogate,
-            defect_belief=defect,
-            discrepancy_belief=discrepancy,
-            fe_observations=_read_only(np.empty((0, self.element_dim))),
-            actions_taken=0,
-            true_beta=_read_only(beta),
-            true_defect=float(d),
-            true_discrepancy=float(mu),
-            pf_stats=stats,
-            pool_variance=self._prior_pool_variance,
-            crn_normals=normals,
-            pf_margins=margins,
-            pf_scales=scales,
-            outcome=self._verdict(stats, 0),
-        )
+            **fields, actions_taken=actions_taken, pf_margins=pf_margins,
+            pf_scales=pf_scales, pf_stats=stats, outcome=self._verdict(stats, actions_taken))
 
     def action_mask(self, state) -> np.ndarray:
         return self._all_legal
@@ -338,55 +334,40 @@ class ReliabilityEnv(Environment):
             raise StepAfterDone(f"episode already ended with {state.outcome!r}")
 
         # a step changes one half of the p_f estimate; the other is reused
+        defect, discrepancy, normals = (state.defect_belief, state.discrepancy_belief,
+                                        state.crn_normals)
+        surrogate, rows, pool_variance = (state.surrogate, state.fe_observations,
+                                          state.pool_variance)
         margins, scales = state.pf_margins, state.pf_scales
         if action == MEASUREMENT:
-            defect = _observed(state.defect_belief, state.true_defect,
-                               cfg.measurement_noise_var, rng)
-            margins = _pf_margins(
-                defect, state.discrepancy_belief, state.crn_normals, cfg
-            )
-            changes = {"defect_belief": defect}
+            defect = _observed(defect, state.true_defect, cfg.measurement_noise_var, rng)
             reward = cfg.cost_measurement
         elif action == LAB:
-            discrepancy = _observed(state.discrepancy_belief, state.true_discrepancy,
+            discrepancy = _observed(discrepancy, state.true_discrepancy,
                                     cfg.lab_noise_var, rng)
-            margins = _pf_margins(
-                state.defect_belief, discrepancy, state.crn_normals, cfg
-            )
-            changes = {"discrepancy_belief": discrepancy}
             reward = cfg.cost_lab
         elif action == FE:
-            x = select_fe_input(self.pool, state.pool_variance)
-            y = float(
-                state.true_beta @ x
-                + np.sqrt(cfg.fe_noise_var) * rng.standard_normal()
-            )
-            rows = np.vstack([state.fe_observations, np.append(x, y)])
-            surrogate = state.surrogate.observe(x, y, cfg.fe_noise_var)
-            scales = _pf_scales(surrogate, state.crn_normals, cfg)
-            changes = {
-                "surrogate": surrogate,
-                "pool_variance": self._pool_variance(surrogate),
-                "fe_observations": _read_only(canonical_set(rows, self.element_dim)),
-            }
+            x = select_fe_input(self.pool, pool_variance)
+            y = float(state.true_beta @ x + np.sqrt(cfg.fe_noise_var) * rng.standard_normal())
+            rows = np.vstack([rows, np.append(x, y)])
+            rows = _read_only(canonical_set(rows, self.element_dim))
+            surrogate = surrogate.observe(x, y, cfg.fe_noise_var)
+            pool_variance = self._pool_variance(surrogate)
+            scales = _pf_scales(surrogate, normals, cfg)
             reward = cfg.cost_fe
         else:
             raise ValueError(f"unknown action {action}")
+        if action != FE:
+            margins = _pf_margins(defect, discrepancy, normals, cfg)
 
-        actions_taken = state.actions_taken + 1
-        stats = _pf_stats(margins, scales)
-        verdict = self._verdict(stats, actions_taken)
-        if verdict == FAILED:
+        next_state = self._state(
+            surrogate=surrogate, defect_belief=defect, discrepancy_belief=discrepancy,
+            fe_observations=rows, actions_taken=state.actions_taken + 1,
+            true_beta=state.true_beta, true_defect=state.true_defect,
+            true_discrepancy=state.true_discrepancy, pool_variance=pool_variance,
+            crn_normals=normals, pf_margins=margins, pf_scales=scales)
+        if next_state.outcome == FAILED:
             reward += cfg.failure_penalty
-        next_state = replace(
-            state,
-            actions_taken=actions_taken,
-            outcome=verdict,
-            pf_stats=stats,
-            pf_margins=margins,
-            pf_scales=scales,
-            **changes,
-        )
         return next_state, reward
 
     def _verdict(self, stats: tuple, actions_taken: int) -> str | None:

@@ -257,12 +257,30 @@ def save_checkpoint(path, net: DeepSetsNet, meta: dict | None = None) -> None:
     np.savez(path, header=json.dumps(header, sort_keys=True), **arrays)
 
 
+def _check_header(header) -> None:
+    """Raise ValueError unless ``header`` can build a net: an object of this
+    version whose dims and hidden sizes are ints >= 1, with meta an object."""
+    if not isinstance(header, dict):
+        raise ValueError("checkpoint header is not an object")
+    version = header["version"]
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version!r}")
+    hidden = [header["phi_hidden"], header["rho_hidden"]]
+    if not all(isinstance(sizes, list) for sizes in hidden):
+        raise ValueError(f"checkpoint hidden sizes {hidden} are not lists")
+    dims = [header[k] for k in ("element_dim", "aux_dim", "output_dim", "latent_dim")]
+    for size in dims + hidden[0] + hidden[1]:
+        if type(size) is not int or size < 1:  # not isinstance: that admits bool
+            raise ValueError(f"checkpoint size {size!r} is not an int >= 1")
+    if not isinstance(header["meta"], dict):
+        raise ValueError("checkpoint meta is not an object")
+
+
 def load_checkpoint(path):
     """Rebuild a DeepSetsNet from a checkpoint; returns (net, meta)."""
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(str(data["header"]))
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
+        _check_header(header)
         net = DeepSetsNet(
             header["element_dim"], header["aux_dim"], header["output_dim"],
             phi_hidden=tuple(header["phi_hidden"]),

@@ -211,6 +211,31 @@ class TestBadCheckpoint:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read checkpoint {path}: ")
 
+    @pytest.mark.parametrize("change", [
+        lambda header: [header],
+        lambda header: dict(header, latent_dim="16"),
+        lambda header: dict(header, latent_dim=16.0),
+        lambda header: dict(header, phi_hidden=None),
+        lambda header: dict(header, phi_hidden=[0, 32]),
+        lambda header: dict(header, meta=[1]),
+    ], ids=["list", "str-dim", "float-dim", "null-hidden", "zero-hidden", "list-meta"])
+    def test_malformed_header(self, tmp_path, capsys, change):
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(path, DeepSetsNet(6, 8, 3, seed=0),
+                        meta={"env": "reliability", "encoding": "set"})
+        with np.load(path) as data:
+            header = json.loads(str(data["header"]))
+            arrays = {k: data[k] for k in data.files if k != "header"}
+        np.savez(path, header=json.dumps(change(header)), **arrays)
+        out = tmp_path / "o"
+        code = run([
+            "eval", "--env", "reliability", "--episodes", "2",
+            "--checkpoint", str(path), "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read checkpoint {path}: ")
+        assert not out.exists()
+
 
 class TestOracle:
     def test_writes_table_and_summary(self, tmp_path):

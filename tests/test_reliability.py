@@ -458,7 +458,8 @@ class TestEnvironment:
 
 class TestCachedEstimator:
     """The env computes each state's (E, Std) from the episode's normals and
-    the margins and scales it keeps; each must equal a fresh estimate."""
+    the margins and scales it keeps, and its verdict from (E, Std); every
+    stored field must equal a fresh computation from the state's beliefs."""
 
     @pytest.mark.parametrize("changes", [
         {},
@@ -484,6 +485,17 @@ class TestCachedEstimator:
                 assert not state.pf_margins.flags.writeable
                 assert not state.pf_scales.flags.writeable
                 assert state.pf_stats == estimate_pf_stats(state, cfg, state.crn_normals)
+                margins = reliability._pf_margins(
+                    state.defect_belief, state.discrepancy_belief, normals, cfg)
+                scales = reliability._pf_scales(state.surrogate, normals, cfg)
+                assert state.pf_margins.tobytes() == margins.tobytes()
+                assert state.pf_scales.tobytes() == scales.tobytes()
+                variance = state.surrogate.predictive_variance(env.pool)
+                assert state.pool_variance.tobytes() == variance.tobytes()
+                verdict = check_objective(*state.pf_stats, cfg.target)
+                if verdict == UNDECIDED:
+                    verdict = FAILED if state.actions_taken >= cfg.max_actions else None
+                assert state.outcome == verdict
         assert taken == {MEASUREMENT, FE, LAB}
 
 
