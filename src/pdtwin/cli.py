@@ -30,7 +30,7 @@ from .oracle import (
 
 
 class CheckpointMismatch(ValueError):
-    """A missing or unreadable checkpoint, or one of another env, encoding or shape."""
+    """A missing or unreadable checkpoint, or one trained for another game or shape."""
 
 
 def _make_env(args, run_config):
@@ -50,6 +50,8 @@ def _load_policy(path, env, args) -> QPolicy:
                  action_count=net.output_dim)
     expected = {"env": args.env, "encoding": args.encoding, "element_dim": env.element_dim,
                 "aux_dim": env.aux_dim, "action_count": env.action_count}
+    if args.env == "component":
+        expected["constrained"] = env.config.constrained
     for key, value in expected.items():
         if found.get(key) != value:
             raise CheckpointMismatch(

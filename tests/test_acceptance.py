@@ -13,7 +13,7 @@ from scipy.special import ndtr
 
 from pdtwin.cli import main as cli_main
 from pdtwin.config import load_run_config
-from pdtwin.dqn import train
+from pdtwin.dqn import QPolicy, train
 from pdtwin.envs.component import (
     USE, CoinConfig, ComponentEnv, belief_psi, expected_use_reward,
 )
@@ -22,7 +22,7 @@ from pdtwin.envs.reliability import (
     benchmark_policy_action, check_objective, estimate_pf_stats, select_fe_input,
 )
 from pdtwin.mdp import FunctionPolicy, RandomPolicy, evaluate_policy, run_episode
-from pdtwin.nets import DeepSetsNet, SetBatch, canonical_set
+from pdtwin.nets import DeepSetsNet, SetBatch, canonical_set, load_checkpoint
 from pdtwin.oracle import (
     OraclePolicy, TabularState, backward_induction, policy_value,
 )
@@ -64,10 +64,11 @@ def trained_coin():
 
 
 @pytest.fixture(scope="module")
-def trained_reliability():
-    cfg = load_run_config(None, "reliability")
-    env = ReliabilityEnv(cfg.reliability)
-    return env, train(env, cfg.train).policy
+def trained_reliability(reliability_checkpoint):
+    """Default-config DQN training for the reliability game (see conftest.py)."""
+    env = ReliabilityEnv(load_run_config(None, "reliability").reliability)
+    net, _ = load_checkpoint(reliability_checkpoint)
+    return env, QPolicy(net, env)
 
 
 def use_failures(record) -> int:

@@ -157,6 +157,17 @@ class TestEval:
                 assert code == 1
                 assert f"trained with {key}" in capsys.readouterr().err
 
+    def test_unconstrained_checkpoint_on_the_constrained_game(self, tmp_path, capsys):
+        path = train_tiny(tmp_path) / "checkpoint.npz"
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = run(["eval", "--env", "component", "--constrained", "--episodes", "2",
+                    "--checkpoint", str(path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {path} was trained with constrained False, not True\n")
+        assert not out.exists()
+
     def test_set_encoded_reliability_checkpoint_is_usage_error(self, tmp_path, capsys):
         # the network fits the reliability game; only the recorded encoding is wrong
         path = tmp_path / "checkpoint.npz"
@@ -285,6 +296,20 @@ class TestCompare:
         names = [ln.split(",")[0] for ln in lines[1:]]
         assert names == ["random", "oracle", "dqn_unconstrained"]
         assert (cmp_out / "compare_histogram.csv").exists()
+
+    def test_checkpoints_in_the_wrong_order(self, tmp_path, capsys):
+        # the first --checkpoint is the unconstrained net, the second the constrained one
+        free = train_tiny(tmp_path, "free") / "checkpoint.npz"
+        bound = train_tiny(tmp_path, "bound", extra=["--constrained"]) / "checkpoint.npz"
+        capsys.readouterr()
+        out = tmp_path / "cmp"
+        code = run(["compare", "--env", "component", "--episodes", "2",
+                    "--checkpoint", str(bound), "--checkpoint", str(free),
+                    "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {bound} was trained with constrained True, not False\n")
+        assert not out.exists()
 
     def test_reliability_compare_without_checkpoint(self, tmp_path):
         cmp_out = tmp_path / "cmp"

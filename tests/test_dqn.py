@@ -384,7 +384,9 @@ def filled_replay(env, config, size, first_steps_only=False):
 def run_updates(update, env, config, buffer, count=20):
     """Losses and final parameters of ``count`` updates from fresh nets."""
     net, target = (DeepSetsNet(env.element_dim, env.aux_dim, env.action_count,
-                               seed=config.seed + k) for k in range(2))
+                               seed=config.seed + k, phi_hidden=config.phi_hidden,
+                               latent_dim=config.latent_dim, rho_hidden=config.rho_hidden)
+                   for k in range(2))
     optimizer = Adam(net.flat.size, learning_rate=config.learning_rate)
     rng = np.random.default_rng(11)
     losses = [update(net, target, optimizer, buffer, config, rng) for _ in range(count)]
@@ -405,14 +407,20 @@ def constrained_set_setup():
 class TestJointOnlinePass:
     # _update runs the online net once over the current sets followed by the
     # next ones; it must give the bits of one pass per half
-    @pytest.mark.parametrize("setup, first_steps_only", [
-        (reliability_setup, False), (constrained_set_setup, False),
-        (reliability_setup, True), (constrained_set_setup, True),
+    # batch_size 30 and a width below 4 once gave rows whose bits depended on
+    # the rows beside them
+    @pytest.mark.parametrize("setup, first_steps_only, change", [
+        (reliability_setup, False, {}), (constrained_set_setup, False, {}),
+        (reliability_setup, True, {}), (constrained_set_setup, True, {}),
+        (reliability_setup, False, {"batch_size": 30}),
+        (constrained_set_setup, False, {"latent_dim": 3}),
     ], ids=["reliability", "constrained-set", "reliability-empty-current",
-            "constrained-set-empty-current"])
-    def test_bit_equal_to_one_pass_per_half(self, setup, first_steps_only):
+            "constrained-set-empty-current", "reliability-batch-30",
+            "constrained-set-latent-3"])
+    def test_bit_equal_to_one_pass_per_half(self, setup, first_steps_only, change):
         env, config = setup()
-        assert config.double_dqn and config.batch_size == 64
+        config = dataclasses.replace(config, **change)
+        assert config.double_dqn
         buffer = filled_replay(env, config, 300, first_steps_only)
         if first_steps_only:  # no set row in the current half, some in the next
             assert not buffer.counts.any() and buffer.next_counts.any()

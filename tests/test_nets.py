@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pdtwin.nets
 from pdtwin.nets import (
     Adam, CHECKPOINT_VERSION, DeepSetsNet, DimensionMismatch, Mlp, SetBatch,
     canonical_set, load_checkpoint, save_checkpoint,
@@ -20,13 +26,16 @@ def random_set(rng, n, dim=2):
     return [rng.standard_normal(dim) for _ in range(n)]
 
 
-def random_batch(rng, count):
-    """Canonical sets and aux rows in the form forward_batch takes."""
-    pairs = [
-        (canonical_set(random_set(rng, int(rng.integers(0, 6))), 2),
-         rng.standard_normal(1))
-        for _ in range(count)
-    ]
+def random_batch(rng, count, sets_first=False):
+    """Canonical sets and aux rows in the form forward_batch takes, drawn a
+    state at a time or, with ``sets_first``, every set before every aux."""
+    def draw_set():
+        return canonical_set(random_set(rng, int(rng.integers(0, 6))), 2)
+
+    if sets_first:
+        sets = [draw_set() for _ in range(count)]
+        return SetBatch(sets, rng.standard_normal((count, 1)))
+    pairs = [(draw_set(), rng.standard_normal(1)) for _ in range(count)]
     return SetBatch([e for e, _ in pairs], np.array([a for _, a in pairs]))
 
 
@@ -179,12 +188,13 @@ class TestDeepSetsGradients:
 class TestBatchedInterface:
     def test_forward_batch_matches_single(self):
         net = small_net(seed=11)
-        rng = np.random.default_rng(13)
-        batch = random_batch(rng, 9)
-        q, _ = net.forward_batch(batch)
-        for i, (elements, aux) in enumerate(batch):
-            shuffled = elements[rng.permutation(len(elements))]
-            assert np.array_equal(q[i], net.forward(shuffled, aux))
+        for sets_first in (False, True):
+            rng = np.random.default_rng(13)
+            batch = random_batch(rng, 9, sets_first)
+            q, _ = net.forward_batch(batch)
+            for i, (elements, aux) in enumerate(batch):
+                shuffled = elements[rng.permutation(len(elements))]
+                assert np.array_equal(q[i], net.forward(shuffled, aux))
 
     def test_backward_batch_sums_per_sample_gradients(self):
         net = small_net(seed=11)
@@ -222,12 +232,13 @@ class TestPooling:
         sets = [canonical_set(rng.standard_normal((k, 2)), 2) for k in counts]
         batch = SetBatch(sets, np.zeros((len(sets), 1)))
         _, (_, _, rho_cache) = net.forward_batch(batch)
-        pooled = rho_cache[0][:, :latent]
+        pooled = rho_cache[0][: len(sets), :latent]
+        assert not rho_cache[0][len(sets):].any()  # rho's padding rows
 
         expected = np.zeros((len(sets), latent))
-        if sum(counts):
-            rows, _ = net.phi.forward(np.concatenate(sets))
-            np.add.at(expected, np.repeat(np.arange(len(sets)), counts), rows)
+        if n := sum(counts):  # phi's rows, padded as forward_batch pads them
+            rows, _ = net.phi.forward(np.concatenate([*sets, np.zeros(((-n) % 4, 2))]))
+            np.add.at(expected, np.repeat(np.arange(len(sets)), counts), rows[:n])
         assert np.array_equal(pooled, expected)
 
     def test_kept_block_pools_like_a_fresh_one(self):
@@ -239,6 +250,45 @@ class TestPooling:
             batch = random_batch(rng, count)
             q, _ = net.forward_batch(batch)
             assert np.array_equal(q, small_net(seed=4).forward_batch(batch)[0])
+
+
+class TestBatchInvariance:
+    """A state's Q row has the same bits in any batch (README)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.lists(st.integers(1, 33), min_size=6, max_size=6),
+           st.integers(1, 300), st.sampled_from((1, 5, 41)), st.integers(0, 2**32 - 1))
+    def test_row_bits_do_not_depend_on_the_batch(self, element_dim, widths, size,
+                                                 k_end, seed):
+        # set sizes up to 40, the reliability game's, give phi passes past
+        # 10**6 multiply-adds per layer
+        phi_a, phi_b, latent, rho_a, rho_b, outputs = widths
+        net = DeepSetsNet(element_dim, 2, outputs, phi_hidden=(phi_a, phi_b),
+                          latent_dim=latent, rho_hidden=(rho_a, rho_b))
+        rng = np.random.default_rng(seed)
+        sets = [canonical_set(rng.standard_normal((rng.integers(0, k_end), element_dim)),
+                              element_dim) for _ in range(size)]
+        aux = rng.standard_normal((size, 2))
+        q, _ = net.forward_batch(SetBatch(sets, aux))
+        for i in range(size):
+            alone, _ = net.forward_batch(SetBatch(sets[i : i + 1], aux[i : i + 1]))
+            assert alone.tobytes() == q[i].tobytes()
+        lo = rng.integers(0, size)
+        hi = rng.integers(lo + 1, size + 1)
+        part, _ = net.forward_batch(SetBatch(sets[lo:hi], aux[lo:hi]))
+        assert part.tobytes() == q[lo:hi].tobytes()
+
+    def test_holds_at_two_blas_threads(self):
+        # tests/conftest.py pins BLAS to one thread; run the property once
+        # more in one process with two
+        test = f"{__file__}::TestBatchInvariance::test_row_bits_do_not_depend_on_the_batch"
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "2",
+                 "PYTHONPATH": str(Path(pdtwin.nets.__file__).resolve().parents[1])},
+            cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
 
 
 class TestParameterHandling:
