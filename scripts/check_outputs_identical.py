@@ -62,6 +62,10 @@ RUNS = (
     ("component_small_ring", {"train": {"replay_capacity": 600}},
      "-m pdtwin.cli train --env component --encoding set --seed 2 "
      "--episodes {component_train}"),
+    # cached target rows: a wrapping ring (3154 pushes into 1000 slots at 120
+    # episodes) and target syncs at odd steps, between updates
+    ("reliability_small_ring", {"train": {"replay_capacity": 1000, "target_sync": 75}},
+     "-m pdtwin.cli train --env reliability --seed 3 --episodes {reliability_train}"),
     # double DQN's bootstrap choice under a mask that binds (86,968 sampled rows)
     ("component_constrained_double", {"train": {"double_dqn": True}},
      "-m pdtwin.cli train --env component --constrained --seed 1 "

@@ -153,6 +153,9 @@ def cmd_oracle(args, run_config, out) -> dict:
 
 
 def _compare_component(args, run_config, out, n) -> None:
+    if run_config.component.constrained:  # it would play the second game as the first
+        raise config_mod.ConfigError("compare needs env.component.constrained false: it "
+                                     "plays the constrained game for its second --checkpoint")
     env = _make_env(args, run_config)
     constrained_config = dataclasses.replace(run_config.component, constrained=True)
     constrained_env = ComponentEnv(constrained_config, encoding=args.encoding)

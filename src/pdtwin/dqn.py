@@ -76,7 +76,9 @@ class ReplayBuffer:
     """Fixed-capacity ring of transitions with uniform batch sampling.
 
     Row i of every column holds transition i; the two object columns hold
-    references to the environment's read-only set arrays, two int columns their sizes.
+    references to the environment's read-only set arrays, two int columns their
+    sizes. ``next_q[i]`` is the target net's Q of next state i where ``current[i]``;
+    ``push`` clears its row's flag and ``train`` clears every flag at a target sync.
     """
 
     def __init__(self, capacity: int, aux_dim: int, action_count: int):
@@ -90,6 +92,9 @@ class ReplayBuffer:
         self.reward = np.empty(capacity)  # already divided by reward_scale
         self.done = np.empty(capacity, dtype=bool)
         self.next_mask = np.empty((capacity, action_count), dtype=bool)
+        self.same_set = np.empty(capacity, dtype=bool)  # the next set is the current set object
+        self.next_q = np.empty((capacity, action_count))
+        self.current = np.zeros(capacity, dtype=bool)
         self._cursor = self._size = 0
 
     def push(self, enc: StateEncoding, action: int, reward: float,
@@ -100,6 +105,7 @@ class ReplayBuffer:
         self.aux[i], self.next_aux[i] = enc.aux, next_enc.aux
         self.action[i], self.reward[i], self.done[i] = action, reward, done
         self.next_mask[i] = next_mask
+        self.same_set[i], self.current[i] = next_enc.elements is enc.elements, False
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -213,6 +219,7 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
                 loss_ma = loss if np.isnan(loss_ma) else 0.99 * loss_ma + 0.01 * loss
             if global_step % config.target_sync == 0:
                 target.flat[...] = net.flat
+                buffer.current[:] = False  # every cached target row is stale
 
         result.episode_returns.append(ep_return)
         result.loss_moving_average.append(loss_ma)
@@ -238,16 +245,25 @@ def train(env: Environment, config: TrainConfig) -> TrainResult:
 @np.errstate(over="ignore", invalid="ignore")  # train checks the loss it returns
 def _update(net, target, optimizer, buffer, config, rng) -> float:
     idx = buffer.sample(config.batch_size, rng)
-    now = (buffer.sets[idx], buffer.aux[idx], buffer.counts[idx])
-    nxt = (buffer.next_sets[idx], buffer.next_aux[idx], buffer.next_counts[idx])
-    target_q = target.forward_batch(SetBatch(*nxt))[0]  # its cache is freed at once
-    if config.double_dqn:  # one online pass: the current sets, then the next ones
-        now = [np.concatenate(pair) for pair in zip(now, nxt)]
-    q, cache = net.forward_batch(SetBatch(*now))
+    stale = idx[~buffer.current[idx]]  # the target net runs over these rows alone
+    if len(stale):
+        buffer.next_q[stale] = target.forward_batch(SetBatch(
+            buffer.next_sets[stale], buffer.next_aux[stale], buffer.next_counts[stale]))[0]
+        buffer.current[stale] = True
+    target_q = buffer.next_q[idx]
+    rows = np.arange(len(idx))
+    now = SetBatch(buffer.sets[idx], buffer.aux[idx], buffer.counts[idx])
+    if config.double_dqn:  # one online pass: the current states, then the next ones
+        same = buffer.same_set[idx]  # these next states reuse their current set
+        index = np.where(same, rows, len(idx) + np.cumsum(~same) - 1)
+        now = SetBatch(np.concatenate([now.sets, buffer.next_sets[idx[~same]]]),
+                       np.concatenate([now.aux, buffer.next_aux[idx]]),
+                       np.concatenate([now.counts, buffer.next_counts[idx[~same]]]),
+                       np.concatenate([rows, index]))
+    q, cache = net.forward_batch(now)
     # the target net values the next action; under double DQN the online net chooses it
     chooser = q[len(idx):] if config.double_dqn else target_q
     best = masked_argmax(chooser, buffer.next_mask[idx])
-    rows = np.arange(len(idx))
     targets = td_target(
         buffer.reward[idx], buffer.done[idx], target_q[rows, best], config.discount
     )

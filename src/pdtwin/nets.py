@@ -95,16 +95,19 @@ def canonical_set(elements, element_dim: int) -> np.ndarray:
 
 @dataclass
 class SetBatch:
-    """The states ``forward_batch`` takes: one canonical (k, element_dim) set
-    per state (a list or an object array), their aux vectors as one (B, aux_dim)
-    array and each set's k as an int array (None: measured). Iterates as (elements, aux)."""
+    """The states ``forward_batch`` takes: canonical (k, element_dim) sets (a
+    list or an object array), the states' aux vectors as one (B, aux_dim) array,
+    each set's k as an int array (None: measured) and each state's set as an
+    index into ``sets`` (None: one set per state, in order). Iterates as (elements, aux)."""
 
     sets: list | np.ndarray
     aux: np.ndarray
     counts: np.ndarray | None = None
+    index: np.ndarray | None = None
 
     def __iter__(self):
-        return zip(self.sets, self.aux)
+        sets = self.sets if self.index is None else [self.sets[i] for i in self.index]
+        return zip(sets, self.aux)
 
 
 class DeepSetsNet:
@@ -177,31 +180,37 @@ class DeepSetsNet:
         is what makes the pooled sum bit-exactly permutation invariant.
         """
         counts = np.array([len(e) for e in batch.sets]) if batch.counts is None else batch.counts
-        size, k_max = len(counts), counts.max()
+        size, k_max = len(batch.aux), counts.max()
         rows = size + (-size) % 4  # each product gets a multiple of 4 rows (README)
         rho_in = np.zeros((rows, self.latent_dim + self.aux_dim))
         rho_in[:size, self.latent_dim:] = batch.aux
+        pooled = rho_in[:, : self.latent_dim]
+        if batch.index is not None:  # each set pooled once, then gathered per state
+            pooled = np.zeros((len(counts), self.latent_dim))
         phi_cache = None
         if k_max:
             n = counts.sum()
             phi_out, phi_cache = self.phi.forward(
                 np.concatenate([*batch.sets, np.zeros(((-n) % 4, self.element_dim))]))
             # Row j of set b goes to slot j + 1, column b, of a zero (1 + max k,
-            # rows, latent) block summed over its slots one after another, so each
-            # pooled vector is 0 + row 1 + row 2 + ..., a sequential add from zero.
-            if self._slots.size < (cells := (1 + k_max) * rows * self.latent_dim):
+            # pooled rows, latent) block summed over its slots one after another, so
+            # each pooled vector is 0 + row 1 + row 2 + ..., a sequential add from zero.
+            if self._slots.size < (cells := (1 + k_max) * pooled.size):
                 self._slots = np.empty(cells)
-            padded = self._slots[:cells].reshape(1 + k_max, rows, self.latent_dim)
+            padded = self._slots[:cells].reshape(1 + k_max, *pooled.shape)
             padded[...] = 0.0
             filled = np.arange(k_max) < counts[:, None]
-            padded[1:, :size].transpose(1, 0, 2)[filled] = phi_out[:n]
-            padded.sum(axis=0, out=rho_in[:, : self.latent_dim])
+            padded[1:, : len(counts)].transpose(1, 0, 2)[filled] = phi_out[:n]
+            padded.sum(axis=0, out=pooled)
+        if batch.index is not None:
+            rho_in[:size, : self.latent_dim] = pooled[batch.index]
         q, rho_cache = self.rho.forward(rho_in)
         return q[:size], (counts, phi_cache, rho_cache)
 
     def backward_batch(self, cache, d_q: np.ndarray) -> np.ndarray:
         """Gradient of sum(d_q * Q) as one vector laid out like ``flat``; an
-        n-row ``d_q`` takes the first n states' slice of the cache alone."""
+        n-row ``d_q`` takes the first n states' slice of the cache alone, so
+        under a set index the first n states must hold the first n sets."""
         counts, phi_cache, rho_cache = cache
         n, n_phi = len(d_q), self.phi.size
         grad = np.empty_like(self.flat)

@@ -5,9 +5,11 @@ BLAS thread mostly spins: default reliability training took as long and about
 twice the CPU time. Outputs do not depend on it.
 
 Default reliability training is the suite's longest set-up. When a collected
-test needs it, one ``pdtwin train --env reliability`` process starts as
-collection ends and trains on the second core while the suite runs; those
-tests run last and read its checkpoint, which round-trips bit for bit."""
+test needs it (it takes the ``reliability_checkpoint`` fixture, or it is a
+case marked ``reads_checkpoint`` that asks for the fixture by name), one
+``pdtwin train --env reliability`` process starts as collection ends and
+trains on the second core while the suite runs; those tests run last and
+read its checkpoint, which round-trips bit for bit."""
 
 import os
 
@@ -28,7 +30,8 @@ _WORKER = pytest.StashKey()
 
 
 def _needs_training(item) -> bool:
-    return "reliability_checkpoint" in getattr(item, "fixturenames", ())
+    return ("reliability_checkpoint" in getattr(item, "fixturenames", ())
+            or item.get_closest_marker("reads_checkpoint") is not None)
 
 
 def pytest_collection_modifyitems(items):

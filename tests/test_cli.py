@@ -311,6 +311,23 @@ class TestCompare:
             f"error: checkpoint {bound} was trained with constrained True, not False\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("checkpoints", [0, 1])
+    def test_constrained_config_is_usage_error(self, tmp_path, capsys, checkpoints):
+        # compare plays the unconstrained game and, for a second checkpoint,
+        # the constrained one; a config that constrains the first would
+        # label a constrained net and oracle unconstrained
+        bound = train_tiny(tmp_path, "bound", extra=["--constrained"]) / "checkpoint.npz"
+        capsys.readouterr()
+        out = tmp_path / "cmp"
+        code = run(["compare", "--env", "component", "--episodes", "2",
+                    "--config", component_config(tmp_path, constrained=True),
+                    *["--checkpoint", str(bound)] * checkpoints, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: compare needs env.component.constrained false: it plays the "
+            "constrained game for its second --checkpoint\n")
+        assert not out.exists()
+
     def test_reliability_compare_without_checkpoint(self, tmp_path):
         cmp_out = tmp_path / "cmp"
         code = run([

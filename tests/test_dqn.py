@@ -1,15 +1,17 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
+from pdtwin import dqn
 from pdtwin.config import load_run_config
 from pdtwin.dqn import (
     DivergenceDetected, NoLegalAction, QPolicy, ReplayBuffer,
     TrainConfig, _update, epsilon_greedy, masked_argmax, td_target, train,
 )
 from pdtwin.envs.component import CoinConfig, CoinState, ComponentEnv
-from pdtwin.envs.reliability import ReliabilityEnv
+from pdtwin.envs.reliability import FE, ReliabilityEnv
 from pdtwin.mdp import Environment, StateEncoding, evaluate_policy
 from pdtwin.nets import Adam, DeepSetsNet, SetBatch
 from pdtwin.oracle import TabularState, backward_induction, policy_value
@@ -381,13 +383,20 @@ def filled_replay(env, config, size, first_steps_only=False):
     return buffer
 
 
-def run_updates(update, env, config, buffer, count=20):
-    """Losses and final parameters of ``count`` updates from fresh nets."""
+def fresh_learner(env, config, buffer):
+    """Online and target nets of different seeds and an optimizer; the new
+    target net makes every target row the replay holds stale."""
     net, target = (DeepSetsNet(env.element_dim, env.aux_dim, env.action_count,
                                seed=config.seed + k, phi_hidden=config.phi_hidden,
                                latent_dim=config.latent_dim, rho_hidden=config.rho_hidden)
                    for k in range(2))
-    optimizer = Adam(net.flat.size, learning_rate=config.learning_rate)
+    buffer.current[:] = False
+    return net, target, Adam(net.flat.size, learning_rate=config.learning_rate)
+
+
+def run_updates(update, env, config, buffer, count=20):
+    """Losses and final parameters of ``count`` updates from fresh nets."""
+    net, target, optimizer = fresh_learner(env, config, buffer)
     rng = np.random.default_rng(11)
     losses = [update(net, target, optimizer, buffer, config, rng) for _ in range(count)]
     return losses, net.flat
@@ -431,19 +440,97 @@ class TestJointOnlinePass:
 
     @pytest.mark.parametrize("double", [False, True])
     def test_two_forward_batch_calls_per_update(self, double, monkeypatch):
+        # the target pass covers the sampled rows no earlier update valued (no
+        # sync comes between), the online pass every sampled state
         env, config = constrained_set_setup()
         config = dataclasses.replace(config, double_dqn=double)
         buffer = filled_replay(env, config, 100)
-        calls = []
-        forward_batch = DeepSetsNet.forward_batch
+        calls, samples = [], []
+        forward_batch, sample = DeepSetsNet.forward_batch, buffer.sample
 
         def counted(self, batch):
             calls.append(len(batch.aux))
             return forward_batch(self, batch)
 
         monkeypatch.setattr(DeepSetsNet, "forward_batch", counted)
+        monkeypatch.setattr(buffer, "sample", lambda *args: samples.append(sample(*args))
+                            or samples[-1])
         run_updates(_update, env, config, buffer, count=3)
-        assert calls == [64, 128 if double else 64] * 3
+        valued, expected = set(), []
+        for idx in samples:
+            fresh = set(idx.tolist()) - valued
+            valued |= fresh
+            expected += [len(fresh), 128 if double else 64]
+        assert expected[0] == 64 and 0 < expected[2] < 64
+        assert calls == expected
+
+    @pytest.mark.parametrize("double", [False, True])
+    def test_repeated_rows_make_no_target_pass(self, double, monkeypatch):
+        env, config = reliability_setup()
+        config = dataclasses.replace(config, double_dqn=double)
+        buffer = filled_replay(env, config, 300)
+        net, target, optimizer = fresh_learner(env, config, buffer)
+        rng = np.random.default_rng(11)
+        again = copy.deepcopy(rng)  # draws the same indices
+        _update(net, target, optimizer, buffer, config, rng)
+        calls = []
+        forward_batch = DeepSetsNet.forward_batch
+
+        def counted(self, batch):
+            calls.append(self)
+            return forward_batch(self, batch)
+
+        monkeypatch.setattr(DeepSetsNet, "forward_batch", counted)
+        _update(net, target, optimizer, buffer, config, again)
+        assert calls == [net]
+
+
+def recorded(update, losses):
+    """``update``, appending each loss it returns to ``losses``."""
+    def run(*args):
+        losses.append(update(*args))
+        return losses[-1]
+    return run
+
+
+class TestCachedTargetRows:
+    # _update keeps the target net's Q rows in the replay until a push or a
+    # sync makes them stale, and pools a next set once when it is its current
+    # set; training must give the bits of a full target pass every update
+    def test_reliability_next_set_is_shared_unless_fe(self):
+        env, config = reliability_setup()
+        buffer = filled_replay(env, config, 300)
+        assert buffer.same_set.any() and not buffer.same_set.all()
+        assert np.array_equal(buffer.same_set, buffer.action != FE)
+        assert np.array_equal(buffer.same_set, [a is b for a, b in
+                                                zip(buffer.sets, buffer.next_sets)])
+
+    @pytest.mark.parametrize("double", [False, True], ids=["plain", "double"])
+    @pytest.mark.parametrize("setup, change", [
+        (reliability_setup, {"episodes": 30, "replay_capacity": 300}),
+        (constrained_set_setup, {"episodes": 300, "replay_capacity": 100}),
+    ], ids=["reliability", "constrained-set"])
+    def test_training_bit_equal_to_a_full_target_pass(self, setup, change, double,
+                                                      monkeypatch):
+        env, config = setup()
+        config = dataclasses.replace(config, double_dqn=double, warmup=64,
+                                     target_sync=75, snapshot_every=None, **change)
+        runs, pushes, push = [], [], ReplayBuffer.push
+        monkeypatch.setattr(ReplayBuffer, "push",
+                            lambda self, *args: pushes.append(push(self, *args)))
+        for update in (three_pass_update, _update):
+            losses = []
+            monkeypatch.setattr(dqn, "_update", recorded(update, losses))
+            result = train(env, config)
+            runs.append((losses, result.policy.net.flat, result.episode_returns))
+        # the ring wraps, and syncs fall between updates after learning starts
+        steps = len(pushes) // 2
+        assert steps > 2 * config.replay_capacity
+        assert steps > config.learning_starts + 2 * config.target_sync
+        (expected_losses, expected_flat, expected_returns), (losses, flat, returns) = runs
+        assert losses == expected_losses
+        assert np.array_equal(flat, expected_flat)
+        assert returns == expected_returns
 
 
 class TestQPolicy:

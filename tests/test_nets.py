@@ -291,6 +291,36 @@ class TestBatchInvariance:
         assert result.returncode == 0, result.stdout + result.stderr
 
 
+class TestSetIndex:
+    """A batch that lists each set once and gives each state's set by index
+    has the bits of the batch with one set per state (README)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 41), min_size=1, max_size=6), st.integers(0, 70),
+           st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_the_expanded_batch(self, counts, shared, seed):
+        # empty sets, sets of up to 41 rows, and the last set shared by
+        # ``shared`` more states; the first states hold the sets in order, as
+        # backward_batch needs
+        net = DeepSetsNet(3, 2, 4, seed=1)
+        rng = np.random.default_rng(seed)
+        sets = np.empty(len(counts), dtype=object)
+        sets[:] = [canonical_set(rng.standard_normal((k, 3)), 3) for k in counts]
+        index = np.concatenate([np.arange(len(sets)),
+                                rng.integers(0, len(sets), rng.integers(0, 9)),
+                                np.full(shared, len(sets) - 1)])
+        aux = rng.standard_normal((len(index), 2))
+        indexed = SetBatch(sets, aux, np.array(counts), index)
+        expanded = SetBatch(list(sets[index]), aux)
+        assert [e is f for (e, _), (f, _) in zip(indexed, expanded)] == [True] * len(index)
+        q, cache = net.forward_batch(indexed)
+        q_expanded, cache_expanded = net.forward_batch(expanded)
+        assert q.tobytes() == q_expanded.tobytes()
+        d_q = rng.standard_normal((len(sets), 4))
+        assert (net.backward_batch(cache, d_q).tobytes()
+                == net.backward_batch(cache_expanded, d_q).tobytes())
+
+
 class TestParameterHandling:
     def test_one_seed_builds_equal_independent_nets(self):
         # how training builds its target network beside the online one

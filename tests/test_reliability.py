@@ -10,6 +10,7 @@ from scipy.special import ndtr, owens_t
 
 from pdtwin.beliefs import GaussianBelief
 from pdtwin.cli import main
+from pdtwin.dqn import QPolicy
 from pdtwin.envs.reliability import (
     CONFIRMED_ABOVE, CONFIRMED_BELOW, FAILED, FE, LAB, MEASUREMENT, UNDECIDED,
     CrnNormals, ReliabilityConfig, ReliabilityEnv, SurrogatePosterior,
@@ -20,6 +21,7 @@ from pdtwin.envs import reliability
 from pdtwin.mdp import (
     FunctionPolicy, RandomPolicy, StepAfterDone, evaluate_policy, run_episode,
 )
+from pdtwin.nets import load_checkpoint
 
 CONFIG = ReliabilityConfig()
 
@@ -568,13 +570,17 @@ class TestPfClosedForm:
     @pytest.mark.parametrize("policy", [
         RandomPolicy(),
         FunctionPolicy(lambda s: benchmark_policy_action(s.actions_taken)),
-    ], ids=["random", "benchmark"])
-    def test_final_states_average_to_the_exact_moments(self, policy):
+        pytest.param("dqn", marks=pytest.mark.reads_checkpoint),
+    ], ids=["random", "benchmark", "dqn"])
+    def test_final_states_average_to_the_exact_moments(self, policy, request):
         # The final state is chosen by the stored estimate itself: the
         # stopping rule ends an episode once its (E, Std) clears the target by
         # two Std. So this also shows that this optional stopping biases
         # nothing detectable at n = 2000.
         env = ReliabilityEnv(self.CONFIG)
+        if policy == "dqn":  # criterion 9's net, trained on the default game
+            net, _ = load_checkpoint(request.getfixturevalue("reliability_checkpoint"))
+            policy = QPolicy(net, env)
         self.assert_average_to_the_exact_moments(
             run_episode(env, policy, seed).states[-1] for seed in range(2000))
 
