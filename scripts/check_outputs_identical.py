@@ -66,6 +66,9 @@ RUNS = (
     # episodes) and target syncs at odd steps, between updates
     ("reliability_small_ring", {"train": {"replay_capacity": 1000, "target_sync": 75}},
      "-m pdtwin.cli train --env reliability --seed 3 --episodes {reliability_train}"),
+    # double DQN's joint pass pooling one listed set at latent 1, a lone column
+    ("reliability_lone_set", {"train": {"batch_size": 1, "latent_dim": 1}},
+     "-m pdtwin.cli train --env reliability --seed 0 --episodes {reliability_train}"),
     # double DQN's bootstrap choice under a mask that binds (86,968 sampled rows)
     ("component_constrained_double", {"train": {"double_dqn": True}},
      "-m pdtwin.cli train --env component --constrained --seed 1 "

@@ -98,7 +98,8 @@ class SetBatch:
     """The states ``forward_batch`` takes: canonical (k, element_dim) sets (a
     list or an object array), the states' aux vectors as one (B, aux_dim) array,
     each set's k as an int array (None: measured) and each state's set as an
-    index into ``sets`` (None: one set per state, in order). Iterates as (elements, aux)."""
+    index into ``sets`` (None: one set per state, in order). Every batch pools
+    each listed set once and gathers its states' rows. Iterates as (elements, aux)."""
 
     sets: list | np.ndarray
     aux: np.ndarray
@@ -175,42 +176,40 @@ class DeepSetsNet:
     def forward_batch(self, batch: SetBatch):
         """Forward over a batch; returns (Q, cache). A row of Q has the same bits in any batch.
 
-        Each set must already be a canonical (k, element_dim) array (see
-        ``canonical_set``): summing the rows of every set in one fixed order
-        is what makes the pooled sum bit-exactly permutation invariant.
+        Every batch pools each listed set once and gathers each state's row. Each
+        set must be a canonical (k, element_dim) array (``canonical_set``): summing
+        every set's rows in one fixed order makes pooling bit-exactly permutation invariant.
         """
         counts = np.array([len(e) for e in batch.sets]) if batch.counts is None else batch.counts
         size, k_max = len(batch.aux), counts.max()
         rows = size + (-size) % 4  # each product gets a multiple of 4 rows (README)
         rho_in = np.zeros((rows, self.latent_dim + self.aux_dim))
         rho_in[:size, self.latent_dim:] = batch.aux
-        pooled = rho_in[:, : self.latent_dim]
-        if batch.index is not None:  # each set pooled once, then gathered per state
-            pooled = np.zeros((len(counts), self.latent_dim))
         phi_cache = None
         if k_max:
             n = counts.sum()
             phi_out, phi_cache = self.phi.forward(
                 np.concatenate([*batch.sets, np.zeros(((-n) % 4, self.element_dim))]))
-            # Row j of set b goes to slot j + 1, column b, of a zero (1 + max k,
-            # pooled rows, latent) block summed over its slots one after another, so
-            # each pooled vector is 0 + row 1 + row 2 + ..., a sequential add from zero.
-            if self._slots.size < (cells := (1 + k_max) * pooled.size):
+            # Row j of set b goes to slot j + 1, column b, of a zero (1 + max k, m,
+            # latent) block summed over its slots in order, so each pooled vector is
+            # 0 + row 1 + row 2 + ..., a sequential add from zero. m is the listed
+            # sets rounded up to a multiple of 4: numpy sums a lone column pairwise.
+            m = len(counts) + (-len(counts)) % 4
+            if self._slots.size < (cells := (1 + k_max) * m * self.latent_dim):
                 self._slots = np.empty(cells)
-            padded = self._slots[:cells].reshape(1 + k_max, *pooled.shape)
+            padded = self._slots[:cells].reshape(1 + k_max, m, self.latent_dim)
             padded[...] = 0.0
             filled = np.arange(k_max) < counts[:, None]
             padded[1:, : len(counts)].transpose(1, 0, 2)[filled] = phi_out[:n]
-            padded.sum(axis=0, out=pooled)
-        if batch.index is not None:
-            rho_in[:size, : self.latent_dim] = pooled[batch.index]
+            index = slice(size) if batch.index is None else batch.index
+            rho_in[:size, : self.latent_dim] = padded.sum(axis=0)[index]
         q, rho_cache = self.rho.forward(rho_in)
         return q[:size], (counts, phi_cache, rho_cache)
 
     def backward_batch(self, cache, d_q: np.ndarray) -> np.ndarray:
         """Gradient of sum(d_q * Q) as one vector laid out like ``flat``; an
-        n-row ``d_q`` takes the first n states' slice of the cache alone, so
-        under a set index the first n states must hold the first n sets."""
+        n-row ``d_q`` takes the first n states' slice of the cache alone. The cache
+        holds phi's rows per listed set, so the first n states must hold the first n sets."""
         counts, phi_cache, rho_cache = cache
         n, n_phi = len(d_q), self.phi.size
         grad = np.empty_like(self.flat)

@@ -417,15 +417,16 @@ class TestJointOnlinePass:
     # _update runs the online net once over the current sets followed by the
     # next ones; it must give the bits of one pass per half
     # batch_size 30 and a width below 4 once gave rows whose bits depended on
-    # the rows beside them
+    # the rows beside them, and one listed set at latent 1 a pairwise pooled sum
     @pytest.mark.parametrize("setup, first_steps_only, change", [
         (reliability_setup, False, {}), (constrained_set_setup, False, {}),
         (reliability_setup, True, {}), (constrained_set_setup, True, {}),
         (reliability_setup, False, {"batch_size": 30}),
         (constrained_set_setup, False, {"latent_dim": 3}),
+        (reliability_setup, False, {"batch_size": 1, "latent_dim": 1}),
     ], ids=["reliability", "constrained-set", "reliability-empty-current",
             "constrained-set-empty-current", "reliability-batch-30",
-            "constrained-set-latent-3"])
+            "constrained-set-latent-3", "reliability-lone-set-latent-1"])
     def test_bit_equal_to_one_pass_per_half(self, setup, first_steps_only, change):
         env, config = setup()
         config = dataclasses.replace(config, **change)

@@ -242,14 +242,19 @@ class TestPooling:
         assert np.array_equal(pooled, expected)
 
     def test_kept_block_pools_like_a_fresh_one(self):
-        # a net keeps its pooling block between calls; after a larger batch
-        # has filled it, a smaller one must pool as a net that never pooled
+        # a net keeps one pooling block between calls for indexed and unindexed
+        # batches alike; after a larger batch has filled it, a smaller one of
+        # either kind must pool as a net that never pooled
         rng = np.random.default_rng(5)
         net = small_net(seed=4)
-        for count in (12, 2, 7, 1, 12, 3):
+        for count, indexed in ((12, False), (2, True), (7, False), (1, True),
+                               (12, True), (3, False), (1, False), (9, True)):
             batch = random_batch(rng, count)
+            if indexed:  # each listed set's own state, then five states sharing them
+                index = np.concatenate([np.arange(count), rng.integers(0, count, 5)])
+                batch = SetBatch(batch.sets, rng.standard_normal((len(index), 1)), index=index)
             q, _ = net.forward_batch(batch)
-            assert np.array_equal(q, small_net(seed=4).forward_batch(batch)[0])
+            assert q.tobytes() == small_net(seed=4).forward_batch(batch)[0].tobytes()
 
 
 class TestBatchInvariance:
@@ -297,12 +302,13 @@ class TestSetIndex:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 41), min_size=1, max_size=6), st.integers(0, 70),
-           st.integers(0, 2**32 - 1))
-    def test_bit_equal_to_the_expanded_batch(self, counts, shared, seed):
+           st.sampled_from((1, 2, 16)), st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_the_expanded_batch(self, counts, shared, latent, seed):
         # empty sets, sets of up to 41 rows, and the last set shared by
         # ``shared`` more states; the first states hold the sets in order, as
-        # backward_batch needs
-        net = DeepSetsNet(3, 2, 4, seed=1)
+        # backward_batch needs. One listed set at latent 1 once pooled as one
+        # contiguous column, which numpy sums pairwise
+        net = DeepSetsNet(3, 2, 4, seed=1, latent_dim=latent)
         rng = np.random.default_rng(seed)
         sets = np.empty(len(counts), dtype=object)
         sets[:] = [canonical_set(rng.standard_normal((k, 3)), 3) for k in counts]
