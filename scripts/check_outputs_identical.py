@@ -79,6 +79,14 @@ RUNS = (
                               "sigma_a": 0.0, "prior_discrepancy_mean": 0.0}}},
      "-m pdtwin.cli compare --env reliability --episodes {reliability_eval} "
      "--checkpoint {tree}/reliability/train/checkpoint.npz"),
+    # every p_f draw at 0 / 0: point-mass priors at 0 and sigma_a 0
+    ("reliability_point_mass",
+     {"env": {"reliability": {"prior_beta_mean": 0.0, "prior_beta_var": 0.0,
+                              "sigma_a": 0.0, "prior_defect_mean": 0.0,
+                              "prior_defect_var": 0.0, "prior_discrepancy_mean": 0.0,
+                              "prior_discrepancy_var": 0.0}}},
+     "-m pdtwin.cli compare --env reliability --episodes {reliability_eval} "
+     "--checkpoint {tree}/reliability/train/checkpoint.npz"),
     # a verdict at reset: every episode ends confirmed before its first action
     ("reliability_decided_at_reset",
      {"env": {"reliability": {"prior_discrepancy_mean": 40.0}}},

@@ -70,12 +70,10 @@ def cmd_train(args, run_config, out) -> dict:
               f"max(warmup, batch_size) = {starts} transitions, and then steps at each "
               f"multiple of train_every = {every} environment steps", file=sys.stderr)
 
-    save_checkpoint(
-        out / "checkpoint.npz", result.policy.net,
-        meta={"env": args.env, "encoding": args.encoding,
-              "constrained": run_config.component.constrained,
-              "seed": run_config.train.seed},
-    )
+    game = {"env": args.env, "encoding": args.encoding,
+            "constrained": run_config.component.constrained}
+    save_checkpoint(out / "checkpoint.npz", result.policy.net,
+                    meta={**game, "seed": run_config.train.seed})
     write_csv(
         out / "curve.csv", ["episode", "return", "epsilon", "loss_moving_average"],
         ([i, repr(ret), repr(run_config.train.epsilon_at(i)), repr(lma)]
@@ -83,8 +81,7 @@ def cmd_train(args, run_config, out) -> dict:
              zip(result.episode_returns, result.loss_moving_average))),
     )
     print(f"wrote {out / 'checkpoint.npz'} and {out / 'curve.csv'}")
-    return {"env": args.env, "encoding": args.encoding,
-            "constrained": run_config.component.constrained}
+    return game
 
 
 def _reliability_episodes(path, summary, base_seed) -> tuple:

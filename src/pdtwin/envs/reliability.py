@@ -190,18 +190,17 @@ class ReliabilityState:
         return self.outcome is not None
 
 
-@np.errstate(over="ignore")  # past the float range a ratio's ndtr is exactly 0 or 1
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _pf(margins, scales):
-    """Phi(-margin / scale) elementwise; where a scale is 0 (no spread in beta
-    and sigma_a 0) its limit as the scale falls to 0: 0 for a margin above 0,
-    1 below 0 and 1/2 at 0."""
+    """Phi(-margin / scale) elementwise, for any shape. The division itself
+    gives the limit as a scale falls to 0 (no spread in beta and sigma_a 0), and
+    a ratio past the float range overflows the same way: -m / s is -inf or +inf,
+    so p_f is 0 for a margin above 0 and 1 below. 0 / 0 is NaN and is set to 1/2."""
     from scipy.special import ndtr  # here, not at the top: a component run never needs it
 
-    if scales.all():  # the common case, one check per call
-        return ndtr(-margins / scales)
-    zero = scales == 0.0
-    limit = 0.5 - 0.5 * np.sign(margins)
-    return np.where(zero, limit, ndtr(-margins / np.where(zero, 1.0, scales)))
+    pf = np.asarray(ndtr(-margins / scales))
+    pf[np.isnan(pf)] = 0.5
+    return pf
 
 
 def _pf_scales(

@@ -485,6 +485,29 @@ class TestJointOnlinePass:
         _update(net, target, optimizer, buffer, config, again)
         assert calls == [net]
 
+    def test_pools_each_shared_set_once(self, monkeypatch):
+        # a next state that reuses its current set object is not listed again:
+        # listing every next set made train-reliability about 10% slower
+        env, config = reliability_setup()
+        assert config.double_dqn
+        buffer = filled_replay(env, config, 300)
+        net, target, optimizer = fresh_learner(env, config, buffer)
+        rng = np.random.default_rng(11)
+        idx = buffer.sample(config.batch_size, copy.deepcopy(rng))
+        size, fresh = len(idx), (~buffer.same_set[idx]).sum()
+        assert 0 < fresh < size
+        batches = []
+        forward_batch = DeepSetsNet.forward_batch
+
+        def recorded_batch(self, batch):
+            if self is net:
+                batches.append(batch)
+            return forward_batch(self, batch)
+
+        monkeypatch.setattr(DeepSetsNet, "forward_batch", recorded_batch)
+        _update(net, target, optimizer, buffer, config, rng)
+        assert [(len(b.sets), len(b.aux)) for b in batches] == [(size + fresh, 2 * size)]
+
 
 def recorded(update, losses):
     """``update``, appending each loss it returns to ``losses``."""

@@ -704,3 +704,10 @@ class TestPfMarginBound:
         margins = np.array([1e160, -1e160, 1e160, -1e160, 1.0])
         for scales in (np.full(5, 1e-150), np.array([1e-150, 1e-150, 0.0, 0.0, 1e-150])):
             assert _pf(margins, scales).tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_signed_zero_margin_at_zero_scale(self):
+        # 0 / 0 is 1/2 whatever the sign of the zero; m / 0 keeps its limit
+        assert _pf(np.array([-0.0, 0.0, 3.0, -3.0]), np.zeros(4)).tolist() == [
+            0.5, 0.5, 0.0, 1.0]
+        assert float(_pf(-0.0, np.float64(0.0))) == 0.5
