@@ -73,6 +73,10 @@ RUNS = (
     ("component_constrained_double", {"train": {"double_dqn": True}},
      "-m pdtwin.cli train --env component --constrained --seed 1 "
      "--episodes {component_train}"),
+    # double DQN's joint pass on outcome sets: every next set is fresh, sizes 0 to 10
+    ("component_set_double", {"train": {"double_dqn": True}},
+     "-m pdtwin.cli train --env component --encoding set --seed 4 "
+     "--episodes {component_train}"),
     # p_f scales of 0 in every draw, so _pf takes its zero-scale limit throughout
     ("reliability_zero_scale",
      {"env": {"reliability": {"prior_beta_mean": 0.0, "prior_beta_var": 0.0,

@@ -76,7 +76,7 @@ class ReplayBuffer:
     """Fixed-capacity ring of transitions with uniform batch sampling.
 
     Row i of every column holds transition i; the two object columns hold
-    references to the environment's read-only set arrays, two int columns their
+    references to the environment's read-only set arrays, which give their own
     sizes. ``next_q[i]`` is the target net's Q of next state i where ``current[i]``;
     ``push`` clears its row's flag and ``train`` clears every flag at a target sync.
     """
@@ -85,7 +85,6 @@ class ReplayBuffer:
         self.capacity = capacity
         self.sets = np.empty(capacity, dtype=object)
         self.next_sets = np.empty(capacity, dtype=object)
-        self.counts, self.next_counts = np.empty((2, capacity), dtype=np.int64)
         self.aux = np.empty((capacity, aux_dim))
         self.next_aux = np.empty((capacity, aux_dim))
         self.action = np.empty(capacity, dtype=np.int64)
@@ -101,7 +100,6 @@ class ReplayBuffer:
              next_enc: StateEncoding, done: bool, next_mask: np.ndarray) -> None:
         i = self._cursor
         self.sets[i], self.next_sets[i] = enc.elements, next_enc.elements
-        self.counts[i], self.next_counts[i] = len(enc.elements), len(next_enc.elements)
         self.aux[i], self.next_aux[i] = enc.aux, next_enc.aux
         self.action[i], self.reward[i], self.done[i] = action, reward, done
         self.next_mask[i] = next_mask
@@ -247,19 +245,18 @@ def _update(net, target, optimizer, buffer, config, rng) -> float:
     idx = buffer.sample(config.batch_size, rng)
     stale = idx[~buffer.current[idx]]  # the target net runs over these rows alone
     if len(stale):
-        buffer.next_q[stale] = target.forward_batch(SetBatch(
-            buffer.next_sets[stale], buffer.next_aux[stale], buffer.next_counts[stale]))[0]
+        buffer.next_q[stale] = target.forward_batch(
+            SetBatch(buffer.next_sets[stale], buffer.next_aux[stale]))[0]
         buffer.current[stale] = True
     target_q = buffer.next_q[idx]
     rows = np.arange(len(idx))
-    now = SetBatch(buffer.sets[idx], buffer.aux[idx], buffer.counts[idx])
+    now = SetBatch(buffer.sets[idx], buffer.aux[idx])
     if config.double_dqn:  # one online pass: the current states, then the next ones
         same = buffer.same_set[idx]  # these next states reuse their current set
         index = np.where(same, rows, len(idx) + np.cumsum(~same) - 1)
         now = SetBatch(np.concatenate([now.sets, buffer.next_sets[idx[~same]]]),
                        np.concatenate([now.aux, buffer.next_aux[idx]]),
-                       np.concatenate([now.counts, buffer.next_counts[idx[~same]]]),
-                       np.concatenate([rows, index]))
+                       index=np.concatenate([rows, index]))
     q, cache = net.forward_batch(now)
     # the target net values the next action; under double DQN the online net chooses it
     chooser = q[len(idx):] if config.double_dqn else target_q

@@ -96,14 +96,13 @@ def canonical_set(elements, element_dim: int) -> np.ndarray:
 @dataclass
 class SetBatch:
     """The states ``forward_batch`` takes: canonical (k, element_dim) sets (a
-    list or an object array), the states' aux vectors as one (B, aux_dim) array,
-    each set's k as an int array (None: measured) and each state's set as an
-    index into ``sets`` (None: one set per state, in order). Every batch pools
-    each listed set once and gathers its states' rows. Iterates as (elements, aux)."""
+    list or an object array), the states' aux vectors as one (B, aux_dim) array
+    and each state's set as an index into ``sets`` (None: one set per state, in
+    order). ``forward_batch`` reads each set's k off the set, pools each listed
+    set once and gathers its states' rows. Iterates as (elements, aux)."""
 
     sets: list | np.ndarray
     aux: np.ndarray
-    counts: np.ndarray | None = None
     index: np.ndarray | None = None
 
     def __iter__(self):
@@ -180,7 +179,7 @@ class DeepSetsNet:
         set must be a canonical (k, element_dim) array (``canonical_set``): summing
         every set's rows in one fixed order makes pooling bit-exactly permutation invariant.
         """
-        counts = np.array([len(e) for e in batch.sets]) if batch.counts is None else batch.counts
+        counts = np.fromiter(map(len, batch.sets), np.int64, len(batch.sets))
         size, k_max = len(batch.aux), counts.max()
         rows = size + (-size) % 4  # each product gets a multiple of 4 rows (README)
         rho_in = np.zeros((rows, self.latent_dim + self.aux_dim))

@@ -192,7 +192,7 @@ class TestBatchedInterface:
             rng = np.random.default_rng(13)
             batch = random_batch(rng, 9, sets_first)
             q, _ = net.forward_batch(batch)
-            for i, (elements, aux) in enumerate(batch):
+            for i, (elements, aux) in enumerate(zip(batch.sets, batch.aux)):
                 shuffled = elements[rng.permutation(len(elements))]
                 assert np.array_equal(q[i], net.forward(shuffled, aux))
 
@@ -206,7 +206,7 @@ class TestBatchedInterface:
         for name in batched:
             total = sum(
                 gradients(net, e, a, d_q[i])[name]
-                for i, (e, a) in enumerate(batch)
+                for i, (e, a) in enumerate(zip(batch.sets, batch.aux))
             )
             assert np.allclose(batched[name], total, atol=1e-10)
 
@@ -330,7 +330,7 @@ class TestSetIndex:
                                 rng.integers(0, len(sets), rng.integers(0, 9)),
                                 np.full(shared, len(sets) - 1)])
         aux = rng.standard_normal((len(index), 2))
-        indexed = SetBatch(sets, aux, np.array(counts), index)
+        indexed = SetBatch(sets, aux, index=index)
         expanded = SetBatch(list(sets[index]), aux)
         assert [e is f for (e, _), (f, _) in zip(indexed, expanded)] == [True] * len(index)
         q, cache = net.forward_batch(indexed)
